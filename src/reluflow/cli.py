@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from reluflow.kr import GridDensity, kr_map
+from reluflow.kr import kr_map
 from reluflow.maurey import (
     TimeMixture,
     builtin_mixture,
@@ -30,6 +30,7 @@ from reluflow.metrics import (
     oscillation_counterexample,
     rounding_counterexample,
 )
+from reluflow.numerics import grid_points
 from reluflow.pipeline import map_errors, realize_target
 from reluflow.schedule import ControlSchedule, Segment, flow_points
 from reluflow.targets import density_from_spec, get_target
@@ -72,19 +73,6 @@ def _load_schedule(spec) -> ControlSchedule:
     if isinstance(spec, dict):
         return ControlSchedule.from_dict(spec)
     return ControlSchedule.load(spec)
-
-
-def _density(spec, shape) -> GridDensity:
-    """Density from CLI config: explicit values, generic names, or catalog."""
-    if isinstance(spec, dict):
-        return GridDensity(np.asarray(spec["values"], dtype=float))
-    shape = tuple(int(n) for n in shape)
-    if spec == "uniform":
-        return GridDensity.uniform(shape)
-    if spec == "2x" and len(shape) == 1:
-        return GridDensity.from_function(
-            lambda X: np.maximum(2 * X[:, 0], 1e-9), shape)
-    return density_from_spec(spec, shape)
 
 
 # --------------------------------------------------------------------------
@@ -153,17 +141,14 @@ def cmd_kr(config: dict, out, seed: int) -> int:
     defaults = {"rho0": "uniform", "rho1": "tilted", "shape": [65, 65],
                 "grid": 9, "points": None}
     cfg = _config_echo(defaults, config, seed)
-    rho0 = _density(cfg["rho0"], cfg["shape"])
-    rho1 = _density(cfg["rho1"], cfg["shape"])
+    rho0 = density_from_spec(cfg["rho0"], cfg["shape"])
+    rho1 = density_from_spec(cfg["rho1"], cfg["shape"])
     phi = kr_map(rho0, rho1)
     d = rho0.d
     if cfg["points"] is not None:
         X = np.atleast_2d(np.asarray(cfg["points"], dtype=float))
     else:
-        n = int(cfg["grid"])
-        axes = [np.linspace(0.0, 1.0, n)] * d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        X = np.stack([g.ravel() for g in mesh], axis=-1)
+        X = grid_points([np.linspace(0.0, 1.0, int(cfg["grid"]))] * d)
     Y = phi(X)
     header = tuple(f"x{k}" for k in range(d)) + tuple(
         f"phi{k}" for k in range(d))
@@ -272,9 +257,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None,
                        help="output file (default: stdout)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for grid sweeps (reports only; "
-                            "computation is deterministic regardless)")
     args = parser.parse_args(argv)
     config = {}
     if args.config is not None:

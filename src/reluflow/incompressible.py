@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from reluflow.gadgets import shear_for_region
+from reluflow.numerics import grid_points
 from reluflow.schedule import ControlSchedule, flow_points, invert_schedule
 
 
@@ -181,9 +182,8 @@ def _active_cubes(grid: CubeGrid, active) -> np.ndarray:
         k_hi = np.minimum(k_hi, grid.n - 1)
         if np.any(k_lo > k_hi):
             continue
-        axes = [np.arange(lo, hi + 1) for lo, hi in zip(k_lo, k_hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        blocks.append(np.stack([g.ravel() for g in mesh], axis=-1))
+        blocks.append(grid_points([np.arange(lo, hi + 1)
+                                   for lo, hi in zip(k_lo, k_hi)]))
     if not blocks:
         return np.empty((0, grid.d), dtype=int)
     return np.unique(np.vstack(blocks), axis=0)
@@ -372,8 +372,8 @@ def mp_realize(m, grid: CubeGrid, p: float = 2.0,
     target = np.atleast_2d(np.asarray(m(pts), dtype=float))
     flowed, _ = flow_points(pts, sched)
     core_vol = grid.n_cubes * (grid.h - grid.delta) ** grid.d
-    residual = float((np.mean(np.sum(np.abs(flowed - target) ** p, axis=1)
-                              ** (1.0)) * core_vol) ** (1.0 / p))
+    residual = float((np.mean(np.sum(np.abs(flowed - target) ** p, axis=1))
+                      * core_vol) ** (1.0 / p))
     report = RealizeReport(residual=residual, p=p, n_good=grid.n_cubes - len(bad),
                            n_bad=len(bad), n_segments=len(sched),
                            switch_count=sched.switch_count)

@@ -24,7 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
+from reluflow.numerics import bisect_increasing, grid_points, trapezoid_all
+
 BISECT_TOL = 1e-10
+# halvings of [0, 1] that bring the bracket below BISECT_TOL
+_BISECT_ITERS = int(np.ceil(np.log2(1.0 / BISECT_TOL))) + 1
 
 
 class DensityDegeneracyError(ValueError):
@@ -54,10 +58,7 @@ class GridDensity:
         return tuple(np.linspace(0.0, 1.0, n) for n in self.values.shape)
 
     def integral(self) -> float:
-        v = self.values
-        for axis in reversed(range(v.ndim)):
-            v = np.trapezoid(v, np.linspace(0, 1, v.shape[axis]), axis=axis)
-        return float(v)
+        return float(trapezoid_all(self.values))
 
     def check_normalized(self, tol: float = 1e-8) -> None:
         if abs(self.integral() - 1.0) > tol:
@@ -66,9 +67,7 @@ class GridDensity:
     @classmethod
     def from_function(cls, f, shape) -> "GridDensity":
         """Sample f on the grid and normalize by the trapezoid integral."""
-        axes = [np.linspace(0.0, 1.0, n) for n in shape]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        X = np.stack([m.ravel() for m in mesh], axis=-1)
+        X = grid_points([np.linspace(0.0, 1.0, n) for n in shape])
         vals = np.asarray(f(X), dtype=float).reshape(shape)
         dens = cls(vals)
         return cls(vals / dens.integral())
@@ -82,10 +81,7 @@ def marginal(rho: GridDensity, k: int) -> GridDensity:
     """Marginal density of the first k coordinates (trapezoid over the rest)."""
     if not 1 <= k <= rho.d:
         raise ValueError("k out of range")
-    v = rho.values
-    for axis in reversed(range(k, rho.d)):
-        v = np.trapezoid(v, np.linspace(0, 1, v.shape[axis]), axis=axis)
-    return GridDensity(v)
+    return GridDensity(trapezoid_all(rho.values, axes=range(k, rho.d)))
 
 
 class _ConditionalCDF:
@@ -123,19 +119,11 @@ class _ConditionalCDF:
         partial = self.cum[rows, i] + frac * (d0 + dens_t) / 2.0
         return partial / self.total
 
-    def invert(self, targets: np.ndarray, tol: float = BISECT_TOL) -> np.ndarray:
+    def invert(self, targets: np.ndarray) -> np.ndarray:
         targets = np.asarray(targets, dtype=float)
         if np.any(targets < -1e-12) or np.any(targets > 1 + 1e-12):
             raise DensityDegeneracyError("CDF target outside [0, 1]")
-        lo = np.zeros_like(targets)
-        hi = np.ones_like(targets)
-        n_iter = int(np.ceil(np.log2(1.0 / tol))) + 1
-        for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            below = self.eval(mid) < targets
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        return bisect_increasing(self.eval, targets, 0.0, 1.0, _BISECT_ITERS)
 
 
 def _conditional_slices(marg_k: GridDensity, prefix: np.ndarray,
@@ -219,8 +207,7 @@ def kr_map(rho0: GridDensity, rho1: GridDensity) -> KRMap:
     return KRMap(rho0, rho1)
 
 
-def _isotopy_inverse(phi: KRMap, t: float, X: np.ndarray,
-                     tol: float = BISECT_TOL) -> np.ndarray:
+def _isotopy_inverse(phi: KRMap, t: float, X: np.ndarray) -> np.ndarray:
     """Solve (1-t) y + t phi(y) = x coordinate by coordinate (triangular).
 
     phi_t(y)_k = (1-t) y_k + t phi_k(y_{1:k}) is increasing in y_k, so each
@@ -229,18 +216,12 @@ def _isotopy_inverse(phi: KRMap, t: float, X: np.ndarray,
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.empty_like(X)
     Phi_prefix = np.empty_like(X)
-    n_iter = int(np.ceil(np.log2(1.0 / tol))) + 1
     for k in range(1, phi.d + 1):
-        lo = np.zeros(X.shape[0])
-        hi = np.ones(X.shape[0])
-        for _ in range(n_iter):
-            mid = 0.5 * (lo + hi)
-            comp = phi._component_batch(k, mid, Y[:, :k - 1],
-                                        Phi_prefix[:, :k - 1])
-            below = (1.0 - t) * mid + t * comp < X[:, k - 1]
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        Y[:, k - 1] = 0.5 * (lo + hi)
+        def phi_t(y):
+            return (1.0 - t) * y + t * phi._component_batch(
+                k, y, Y[:, :k - 1], Phi_prefix[:, :k - 1])
+        Y[:, k - 1] = bisect_increasing(phi_t, X[:, k - 1], 0.0, 1.0,
+                                        _BISECT_ITERS)
         Phi_prefix[:, k - 1] = phi._component_batch(
             k, Y[:, k - 1], Y[:, :k - 1], Phi_prefix[:, :k - 1])
     return Y

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
+from reluflow.numerics import neuron_field, rk4
 from reluflow.schedule import ControlSchedule, Neuron, Segment, flow_points
 
 
@@ -113,11 +114,9 @@ def eval_mixture(m: TimeMixture, t: float, X):
     field = np.zeros_like(X)
     div = np.zeros(X.shape[0])
     for atom in m.cells[m.cell_index(t)]:
-        n = atom.neuron
-        z = X @ n.a + n.b
-        active = z > 0
-        field += atom.mass * np.outer(np.where(active, z, 0.0), n.w)
-        div += atom.mass * n.s * active
+        V, atom_div = neuron_field(X, atom.neuron)
+        field += atom.mass * V
+        div += atom.mass * atom_div
     return field, div
 
 
@@ -135,13 +134,28 @@ def sample_schedule(m: TimeMixture, N: int, seed: int) -> SampleRun:
     """Draw one cost-weighted atom per interval, rescale, emit the schedule."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if all(m.cell_rate(i) == 0.0 for i in range(m.n_cells)):
+    rates = [m.cell_rate(i) for i in range(m.n_cells)]
+    costs = [[atom.cost(m.R) for atom in cell] for cell in m.cells]
+    if all(r == 0.0 for r in rates):
         raise DegenerateMixtureError("mixture has zero total cost mass")
     rng = np.random.default_rng(seed)
     neurons, weights, rs, segments = [], [], [], []
     for k in range(N):
         lo, hi = k / N, (k + 1) / N
-        r_k = m.rate_integral(lo, hi)
+        # r_k = int_{I_k} r(t) dt, summed as TimeMixture.rate_integral does,
+        # and the cost-weighted distribution over atoms active in I_k
+        r_k = 0.0
+        cand, probs = [], []
+        for i in range(m.n_cells):
+            overlap = (min(hi, m.time_grid[i + 1]) - max(lo, m.time_grid[i]))
+            if overlap <= 0:
+                continue
+            r_k += overlap * rates[i]
+            for atom, cost in zip(m.cells[i], costs[i]):
+                p = atom.mass * cost * overlap
+                if p > 0:
+                    cand.append((atom, cost))
+                    probs.append(p)
         rs.append(r_k)
         if r_k == 0.0:
             neurons.append(None)
@@ -149,20 +163,9 @@ def sample_schedule(m: TimeMixture, N: int, seed: int) -> SampleRun:
             segments.append(Segment(Neuron(np.zeros(m.d), np.zeros(m.d), 0.0),
                                     1.0 / N))
             continue
-        # cost-weighted distribution over atoms active in I_k
-        cand, probs = [], []
-        for i in range(m.n_cells):
-            overlap = (min(hi, m.time_grid[i + 1]) - max(lo, m.time_grid[i]))
-            if overlap <= 0:
-                continue
-            for atom in m.cells[i]:
-                p = atom.mass * atom.cost(m.R) * overlap
-                if p > 0:
-                    cand.append(atom)
-                    probs.append(p)
         probs = np.asarray(probs) / sum(probs)
-        atom = cand[rng.choice(len(cand), p=probs)]
-        w_prime = N * r_k * atom.neuron.w / atom.cost(m.R)
+        atom, cost = cand[rng.choice(len(cand), p=probs)]
+        w_prime = N * r_k * atom.neuron.w / cost
         neurons.append(atom.neuron)
         weights.append(w_prime)
         segments.append(Segment(Neuron(w_prime, atom.neuron.a, atom.neuron.b),
@@ -180,25 +183,10 @@ def reference_flow(m: TimeMixture, X, step: float = 1e-3):
     """
     X = np.atleast_2d(np.asarray(X, dtype=float)).copy()
     q = np.zeros(X.shape[0])
-
     for i in range(m.n_cells):
-        span = m.time_grid[i + 1] - m.time_grid[i]
-        t0 = m.time_grid[i]
-        n_steps = max(int(np.ceil(span / step)), 1)
-        dt = span / n_steps
-        tm = t0 + 0.5 * dt   # any time inside the cell: field is constant
-
-        def f(Y):
-            field, div = eval_mixture(m, tm, Y)
-            return field, div
-
-        for _ in range(n_steps):
-            k1, q1 = f(X)
-            k2, q2 = f(X + 0.5 * dt * k1)
-            k3, q3 = f(X + 0.5 * dt * k2)
-            k4, q4 = f(X + dt * k3)
-            X = X + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            q = q + dt / 6.0 * (q1 + 2 * q2 + 2 * q3 + q4)
+        t0, t1 = m.time_grid[i], m.time_grid[i + 1]
+        tm = 0.5 * (t0 + t1)   # any time inside the cell: field is constant
+        X, q = rk4(lambda Y: eval_mixture(m, tm, Y), X, q, t1 - t0, step)
     return X, q
 
 
@@ -258,8 +246,7 @@ def fit_mixture(times, points, U, R: float, dictionary_size: int, seed: int,
     # design matrix: column k stacks w_k relu(a_k . x_i + b_k) over points
     cols = []
     for n in dictionary:
-        g = np.maximum(points @ n.a + n.b, 0.0)
-        cols.append(np.outer(g, n.w).ravel())
+        cols.append(neuron_field(points, n)[0].ravel())
     G = np.column_stack(cols)
 
     mids = (times[:-1] + times[1:]) / 2.0

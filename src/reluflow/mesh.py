@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from reluflow.numerics import grid_points
+
 
 @dataclass(frozen=True)
 class RectDomain:
@@ -150,9 +152,8 @@ def kuhn_triangulate(domain: RectDomain, h: float) -> Triangulation:
     cells = np.maximum(np.ceil(sides / h - 1e-9).astype(int), 1)
     pitch = sides / cells
     # vertex lattice
-    axes = [domain.lower[k] + pitch[k] * np.arange(cells[k] + 1) for k in range(d)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    vertices = np.column_stack([g.ravel() for g in grids])
+    vertices = grid_points([domain.lower[k] + pitch[k] * np.arange(cells[k] + 1)
+                            for k in range(d)])
     vshape = tuple(cells + 1)
 
     perms = list(itertools.permutations(range(d)))

@@ -14,6 +14,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from reluflow.kr import GridDensity
 from reluflow.mesh import RectDomain
+from reluflow.numerics import grid_points, trapezoid_all
 from reluflow.schedule import ControlSchedule, flow_points, invert_schedule
 
 # strictly positive floor applied to pushforward values so they remain
@@ -26,10 +27,8 @@ class SingularTransportError(ValueError):
 
 
 def _cell_centers(domain: RectDomain, resolution: int) -> tuple:
-    axes = [lo + (np.arange(resolution) + 0.5) * (hi - lo) / resolution
-            for lo, hi in zip(domain.lower, domain.upper)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=-1)
+    X = grid_points([lo + (np.arange(resolution) + 0.5) * (hi - lo) / resolution
+                     for lo, hi in zip(domain.lower, domain.upper)])
     cell_volume = domain.volume / resolution ** domain.d
     return X, cell_volume
 
@@ -88,9 +87,7 @@ def pushforward_density(transport, rho: GridDensity, shape) -> GridDensity:
     at a tiny positive constant to remain a valid GridDensity.
     """
     rho_fn = density_interpolator(rho)
-    axes = [np.linspace(0.0, 1.0, n) for n in shape]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    Y = np.stack([m.ravel() for m in mesh], axis=-1)
+    Y = grid_points([np.linspace(0.0, 1.0, n) for n in shape])
     vals = pushforward_values(transport, rho_fn, Y).reshape(shape)
     return GridDensity(np.maximum(vals, _DENSITY_FLOOR))
 
@@ -99,10 +96,7 @@ def tv_distance(rho1: GridDensity, rho2: GridDensity) -> float:
     """Trapezoid integral of |rho1 - rho2| on their common grid."""
     if rho1.values.shape != rho2.values.shape:
         raise ValueError("densities live on different grids")
-    v = np.abs(rho1.values - rho2.values)
-    for axis in reversed(range(v.ndim)):
-        v = np.trapezoid(v, np.linspace(0, 1, v.shape[axis]), axis=axis)
-    return float(v)
+    return float(trapezoid_all(np.abs(rho1.values - rho2.values)))
 
 
 def lipschitz_norm(rho: GridDensity) -> float:
@@ -142,9 +136,7 @@ def contraction_check(transport, mu1: GridDensity, mu2: GridDensity,
     p2 = pushforward_density(transport, mu2, shape)
     interp1 = density_interpolator(mu1)
     interp2 = density_interpolator(mu2)
-    axes = [np.linspace(0.0, 1.0, n) for n in shape]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=-1)
+    X = grid_points([np.linspace(0.0, 1.0, n) for n in shape])
     r1 = GridDensity(np.maximum(interp1(X).reshape(shape), _DENSITY_FLOOR))
     r2 = GridDensity(np.maximum(interp2(X).reshape(shape), _DENSITY_FLOOR))
     return tv_distance(p1, p2), tv_distance(r1, r2)

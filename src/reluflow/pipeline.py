@@ -42,6 +42,7 @@ from reluflow.factorize import FactorizationError
 from reluflow.gadgets import shear_for_region
 from reluflow.mesh import RectDomain
 from reluflow.metrics import _cell_centers, lp_map_error, pushforward_values
+from reluflow.numerics import bisect_increasing, grid_points
 from reluflow.schedule import ControlSchedule, flow_points, invert_schedule
 from reluflow.targets import TargetMap
 
@@ -151,22 +152,6 @@ def _lattice_edges(lo: float, hi: float, h: float) -> np.ndarray:
     return h * np.arange(k0, k1 + 1)
 
 
-def _bisect_increasing(f, target: np.ndarray, lo: float, hi: float,
-                       iters: int = 60) -> np.ndarray:
-    """Solve f(x) = target on [lo, hi] per entry for increasing f.
-
-    Targets outside f's range converge to the nearer endpoint.
-    """
-    a = np.full(target.shape, lo)
-    b = np.full(target.shape, hi)
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        below = f(mid) < target
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    return 0.5 * (a + b)
-
-
 @dataclass(frozen=True)
 class BandTower:
     """One pass: stack the bands, apply their maps, unstack."""
@@ -237,39 +222,36 @@ def _band_maps(target: TargetMap, h: float, cube_h: float) -> tuple:
     row_knots = _knots(lo[0], hi[0], h)
     row_edges = _lattice_edges(lo[1], hi[1], cube_h)
     rows = 0.5 * (row_edges[:-1] + row_edges[1:])
-    X1, X2 = np.meshgrid(row_knots, rows)
-    row_values = fn(np.column_stack([X1.ravel(), X2.ravel()]))[:, 0]
-    row_values = row_values.reshape(X1.shape)
+    # one row per band, knots along it; columns reordered to (x_1, x_2)
+    X = grid_points([rows, row_knots])[:, [1, 0]]
+    row_values = fn(X)[:, 0].reshape(len(rows), len(row_knots))
     _check_increasing(row_values, "row", h)
 
     col_knots = _knots(lo[1], hi[1], h)
     col_edges = _lattice_edges(row_values.min(), row_values.max(), cube_h)
     cols = 0.5 * (col_edges[:-1] + col_edges[1:])
-    Y1, X2 = np.meshgrid(cols, col_knots, indexing="ij")
-    x2 = X2.ravel()
-    x1 = _bisect_increasing(
-        lambda t: fn(np.column_stack([t, x2]))[:, 0], Y1.ravel(), lo[0], hi[0])
-    col_values = fn(np.column_stack([x1, x2]))[:, 1].reshape(Y1.shape)
+    Y = grid_points([cols, col_knots])
+    x2 = Y[:, 1]
+    x1 = bisect_increasing(lambda t: fn(np.column_stack([t, x2]))[:, 0],
+                           Y[:, 0], lo[0], hi[0], 60)
+    col_values = fn(np.column_stack([x1, x2]))[:, 1].reshape(len(cols),
+                                                             len(col_knots))
     _check_increasing(col_values, "column", h)
     return row_values, row_knots, row_edges, col_values, col_knots, col_edges
 
 
 def realize_target(target: TargetMap, epsilon: float = 0.1,
                    mesh_h: float = 0.125, cube_h: float = None,
-                   p: float = 2.0, resolution: int = 128,
-                   max_refinements: int = 2) -> RealizeResult:
+                   p: float = 2.0, resolution: int = 128) -> RealizeResult:
     """Build a schedule realizing ``target`` and report its errors.
 
     Special cases: the identity gets an empty schedule; a one-coordinate
     profile target is realized exactly by its slope-change schedule.
     Otherwise (planar targets only) the row and column band-tower passes
     are built with band width ``cube_h`` (default ``mesh_h``) and knot pitch
-    ``mesh_h``; while some band map is not strictly increasing the knot
-    pitch is halved, up to ``max_refinements`` times, before a
-    :class:`FactorizationError` is raised.  The finer knots include the
-    coarser ones, so a band map that decreases between two knots stays
-    rejected: targets whose row or column maps are not increasing (a
-    quarter turn, say) are outside this route.
+    ``mesh_h``.  If some band map is not strictly increasing at its knots a
+    :class:`FactorizationError` is raised: targets whose row or column maps
+    are not increasing (a quarter turn, say) are outside this route.
 
     Stages: ``cells-to-tower`` stacks the row bands, ``profile`` is the row
     profile, and ``tower-to-image`` unstacks the rows and runs the whole
@@ -293,16 +275,8 @@ def realize_target(target: TargetMap, epsilon: float = 0.1,
 
     if d != 2:
         raise ValueError(f"the band-tower route is planar; got d = {d}")
-    h = mesh_h
-    for attempt in range(max_refinements + 1):
-        try:
-            maps = _band_maps(target, h, cube_h)
-            break
-        except FactorizationError:
-            if attempt == max_refinements:
-                raise
-            h /= 2
-    row_values, row_knots, row_edges, col_values, col_knots, col_edges = maps
+    row_values, row_knots, row_edges, col_values, col_knots, col_edges = \
+        _band_maps(target, mesh_h, cube_h)
     rows = band_tower(row_values, row_knots, row_edges, sel_axis=1,
                       move_axis=0)
     cols = band_tower(col_values, col_knots, col_edges, sel_axis=0,
@@ -325,4 +299,4 @@ def realize_target(target: TargetMap, epsilon: float = 0.1,
     ]
     schedule = rows.schedule + cols.schedule
     lp, tv = map_errors(target, schedule, p, resolution)
-    return RealizeResult(schedule, lp, tv, p, epsilon, h, cube_h, stages)
+    return RealizeResult(schedule, lp, tv, p, epsilon, mesh_h, cube_h, stages)

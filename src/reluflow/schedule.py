@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from reluflow.numerics import neuron_field, rk4
+
 # exp overflow guard: segments never need s*tau beyond this at working scale
 _EXP_ARG_MAX = 700.0
 
@@ -130,7 +132,12 @@ class ControlSchedule:
             Segment(Neuron(s["w"], s["a"], s["b"]), s["duration"])
             for s in data["segments"]
         ]
-        return cls(tuple(segs))
+        schedule = cls(tuple(segs))
+        d = schedule.d if schedule.d is not None else 0
+        if "d" in data and data["d"] != d:
+            raise ValueError(f"schedule declares d = {data['d']} but its "
+                             f"segments have dimension {d}")
+        return schedule
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -231,14 +238,6 @@ def invert_schedule(schedule: ControlSchedule) -> ControlSchedule:
 # independent RK4 oracle (tests and diagnostics only)
 
 
-def _field(X: np.ndarray, neuron: Neuron):
-    z = X @ neuron.a + neuron.b
-    relu = np.maximum(z, 0.0)
-    V = np.outer(relu, neuron.w)
-    div = np.where(z > 0.0, neuron.s, 0.0)
-    return V, div
-
-
 def oracle_points(X: np.ndarray, schedule: ControlSchedule, step: float):
     """RK4 integration of the ODE and of d(logdet)/dt = div v, batched."""
     if step <= 0:
@@ -248,15 +247,8 @@ def oracle_points(X: np.ndarray, schedule: ControlSchedule, step: float):
     for seg in schedule.segments:
         if seg.duration == 0.0:
             continue
-        n = max(int(np.ceil(seg.duration / step)), 1)
-        dt = seg.duration / n
-        for _ in range(n):
-            k1, q1 = _field(X, seg.neuron)
-            k2, q2 = _field(X + 0.5 * dt * k1, seg.neuron)
-            k3, q3 = _field(X + 0.5 * dt * k2, seg.neuron)
-            k4, q4 = _field(X + dt * k3, seg.neuron)
-            X = X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            logdet = logdet + (dt / 6.0) * (q1 + 2 * q2 + 2 * q3 + q4)
+        X, logdet = rk4(lambda Y: neuron_field(Y, seg.neuron), X, logdet,
+                        seg.duration, step)
     return X, logdet
 
 

@@ -13,6 +13,7 @@ import numpy as np
 from reluflow.compressible import MonotoneProfile, eval_profile
 from reluflow.kr import GridDensity, kr_map
 from reluflow.mesh import RectDomain
+from reluflow.numerics import bisect_increasing
 
 UNIT_SQUARE = RectDomain([0.0, 0.0], [1.0, 1.0])
 
@@ -56,14 +57,8 @@ def _radial_compress_inv(Y):
     Y = np.atleast_2d(Y)
     v = Y - _RC_CENTER
     r_out = np.linalg.norm(v, axis=1)
-    lo = np.zeros_like(r_out)
-    hi = r_out / (1.0 - _RC_BETA) + 1e-9
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = mid * _rc_scale(mid * mid) < r_out
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    r_in = 0.5 * (lo + hi)
+    r_in = bisect_increasing(lambda r: r * _rc_scale(r * r), r_out, 0.0,
+                             r_out / (1.0 - _RC_BETA) + 1e-9, 60)
     scale = np.where(r_out > 0, r_in / np.maximum(r_out, 1e-300), 1.0)
     return _RC_CENTER + v * scale[:, None]
 
@@ -141,15 +136,23 @@ def get_target(name: str, params: dict = None) -> TargetMap:
 def density_from_spec(spec, shape=(65, 65)) -> GridDensity:
     """Resolve a density argument: catalog name, grid values, or GridDensity.
 
-    Catalog (on [0,1]^2, normalized): uniform, tilted (1 + 0.4x + 0.2y),
-    product ((1+x)(0.5+y)), bump (1 + 0.8 exp(-8|x-c|^2)).
+    Catalog (normalized on the ``shape`` grid over [0,1]^d): uniform; on
+    [0,1]^2 tilted (1 + 0.4x + 0.2y), product ((1+x)(0.5+y)) and bump
+    (1 + 0.8 exp(-8|x-c|^2)); on [0,1] 2x (max(2x, 1e-9)).
     """
     if isinstance(spec, GridDensity):
         return spec
     if isinstance(spec, dict):
         return GridDensity(np.asarray(spec["values"], dtype=float))
+    shape = tuple(int(n) for n in shape)
     if spec == "uniform":
         return GridDensity.uniform(shape)
+    if spec == "2x":
+        if len(shape) != 1:
+            raise ValueError(f"density '2x' is one-dimensional; got shape "
+                             f"{shape}")
+        return GridDensity.from_function(
+            lambda X: np.maximum(2 * X[:, 0], 1e-9), shape)
     if spec == "tilted":
         return GridDensity.from_function(
             lambda X: 1 + 0.4 * X[:, 0] + 0.2 * X[:, 1], shape)
@@ -161,7 +164,7 @@ def density_from_spec(spec, shape=(65, 65)) -> GridDensity:
             lambda X: 1 + 0.8 * np.exp(
                 -8 * np.sum((X - 0.5) ** 2, axis=1)), shape)
     raise KeyError(f"unknown density {spec!r}; catalog: uniform, tilted, "
-                   "product, bump")
+                   "product, bump, 2x")
 
 
 CATALOG = ("identity", "affine", "sine-shear", "radial-compress",

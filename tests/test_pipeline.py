@@ -59,7 +59,7 @@ class TestGenericPipeline:
         flip = TargetMap("flip", lambda X: np.atleast_2d(X)[:, ::-1],
                          UNIT_SQUARE)
         with pytest.raises(FactorizationError):
-            realize_target(flip, mesh_h=0.5, max_refinements=1)
+            realize_target(flip, mesh_h=0.5)
 
     @pytest.mark.parametrize("name,fn", [
         # a quarter turn: x_1 -> phi_1(x) is constant along every row
@@ -71,8 +71,7 @@ class TestGenericPipeline:
     ])
     def test_non_monotone_band_maps_rejected(self, name, fn):
         with pytest.raises(FactorizationError, match="strictly increasing"):
-            realize_target(TargetMap(name, fn, UNIT_SQUARE), mesh_h=0.25,
-                           max_refinements=1)
+            realize_target(TargetMap(name, fn, UNIT_SQUARE), mesh_h=0.25)
 
     def test_switch_counts_reported_per_stage(self):
         r = realize_target(get_target("sine-shear"), mesh_h=0.25,

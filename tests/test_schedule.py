@@ -16,6 +16,7 @@ from reluflow.schedule import (
     flow_segment,
     invert_schedule,
     oracle_flow,
+    oracle_points,
 )
 from tests.conftest import random_schedule
 
@@ -78,10 +79,9 @@ class TestFlowSchedule:
             sched = random_schedule(rng, d, n_segments=4, max_duration=0.8)
             X = rng.uniform(-3, 3, size=(8, d))
             Xo, lo = flow_points(X, sched)
-            for i in range(X.shape[0]):
-                ref = oracle_flow(X[i], sched, step=1e-4)
-                np.testing.assert_allclose(Xo[i], ref.x, atol=1e-6)
-                assert lo[i] == pytest.approx(ref.logdet, abs=1e-6)
+            ref_x, ref_q = oracle_points(X, sched, step=1e-4)
+            np.testing.assert_allclose(Xo, ref_x, atol=1e-6)
+            np.testing.assert_allclose(lo, ref_q, rtol=0, atol=1e-6)
 
     def test_activation_sign_invariant(self, rng):
         # if a.x+b > 0 at segment start it stays positive along the segment
@@ -154,6 +154,16 @@ class TestSerialization:
         assert data["d"] == 2
         assert data["segments"][0] == {
             "w": [1.0, 0.0], "a": [0.0, 1.0], "b": 0.25, "duration": 0.5}
+
+    def test_declared_dimension_checked(self):
+        sched = ControlSchedule((Segment(Neuron([1.0, 0.0], [0.0, 1.0], 0.25), 0.5),))
+        data = sched.to_dict()
+        data["d"] = 3
+        with pytest.raises(ValueError, match="d = 3"):
+            ControlSchedule.from_dict(data)
+        del data["d"]
+        assert len(ControlSchedule.from_dict(data)) == 1
+        assert len(ControlSchedule.from_dict(ControlSchedule().to_dict())) == 0
 
 
 @settings(max_examples=30, deadline=None)
