@@ -64,9 +64,11 @@ def _json_text(obj) -> str:
 
 
 def _config_echo(defaults: dict, config: dict, seed: int) -> dict:
-    cfg = {**defaults, **config}
-    cfg["seed"] = seed
-    return cfg
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown config key(s) {unknown}; accepted: "
+                         f"{sorted(defaults)}")
+    return {**defaults, **config, "seed": seed}
 
 
 def _load_schedule(spec) -> ControlSchedule:
@@ -83,7 +85,8 @@ def cmd_realize(config: dict, out, seed: int) -> int:
         "schedule_out": None,
     }
     # the construction is deterministic: no seed to echo
-    cfg = {**defaults, **config}
+    cfg = _config_echo(defaults, config, seed)
+    del cfg["seed"]
     target = get_target(cfg["target"], cfg["target_params"])
     result = realize_target(
         target, epsilon=float(cfg["epsilon"]), mesh_h=float(cfg["mesh_h"]),

@@ -14,7 +14,7 @@ is renormalized, which kills quadrature drift across slices.
 
 Evaluation is vectorized: one batched bisection per coordinate, with the
 conditional-density slices and their cumulative integrals computed once per
-batch.
+batch of at most ``_CHUNK_ROWS`` points.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from reluflow.numerics import bisect_increasing, grid_points, trapezoid_all
 BISECT_TOL = 1e-10
 # halvings of [0, 1] that bring the bracket below BISECT_TOL
 _BISECT_ITERS = int(np.ceil(np.log2(1.0 / BISECT_TOL))) + 1
+# each point holds conditional-density rows (about 4 KB at 65 nodes)
+_CHUNK_ROWS = 2048
 
 
 class DensityDegeneracyError(ValueError):
@@ -194,9 +196,11 @@ class KRMap:
     def __call__(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         phi = np.empty_like(X)
-        for k in range(1, self.d + 1):
-            phi[:, k - 1] = self._component_batch(
-                k, X[:, k - 1], X[:, :k - 1], phi[:, :k - 1])
+        for start in range(0, X.shape[0], _CHUNK_ROWS):
+            x, out = X[start:start + _CHUNK_ROWS], phi[start:start + _CHUNK_ROWS]
+            for k in range(1, self.d + 1):
+                out[:, k - 1] = self._component_batch(
+                    k, x[:, k - 1], x[:, :k - 1], out[:, :k - 1])
         return phi
 
     def eval_point(self, x) -> np.ndarray:

@@ -22,10 +22,6 @@ from reluflow.schedule import ControlSchedule, flow_points, invert_schedule
 _DENSITY_FLOOR = 1e-15
 
 
-class SingularTransportError(ValueError):
-    """Numeric Jacobian of a generic transport is (near) singular."""
-
-
 def _cell_centers(domain: RectDomain, resolution: int) -> tuple:
     X = grid_points([lo + (np.arange(resolution) + 0.5) * (hi - lo) / resolution
                      for lo, hi in zip(domain.lower, domain.upper)])
@@ -50,37 +46,18 @@ def density_interpolator(rho: GridDensity):
                                    bounds_error=False, fill_value=0.0)
 
 
-def pushforward_values(transport, rho_fn, Y: np.ndarray) -> np.ndarray:
-    """Pushforward density at points Y: rho(x) / |det grad psi(x)|.
+def pushforward_values(schedule: ControlSchedule, rho_fn, Y) -> np.ndarray:
+    """Pushforward density of a schedule's flow psi at points Y.
 
-    For a ControlSchedule the preimage x = psi^{-1}(y) and the inverse
-    log-Jacobian are exact (time-reversed flow); the forward Jacobian
-    satisfies log det grad psi(x) = -logdet_inv(y), so the density is
-    rho(x) * exp(logdet_inv).  For a generic transport pass a (forward,
-    inverse) callable pair; the Jacobian is a central finite difference.
+    The preimage x = psi^{-1}(y) and the inverse log-Jacobian are exact
+    (time-reversed flow); log det grad psi(x) = -logdet_inv(y), so the
+    density rho(x) / |det grad psi(x)| is rho(x) * exp(logdet_inv).
     """
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if isinstance(transport, ControlSchedule):
-        inv = invert_schedule(transport)
-        X, logdet_inv = flow_points(Y, inv)
-        return np.asarray(rho_fn(X), float) * np.exp(logdet_inv)
-    forward, inverse = transport
-    X = np.atleast_2d(np.asarray(inverse(Y), float))
-    d = X.shape[1]
-    eps = 1e-6
-    jac = np.empty((X.shape[0], d, d))
-    for j in range(d):
-        E = np.zeros(d)
-        E[j] = eps
-        jac[:, :, j] = (np.asarray(forward(X + E), float)
-                        - np.asarray(forward(X - E), float)) / (2 * eps)
-    dets = np.abs(np.linalg.det(jac))
-    if np.any(dets < 1e-12):
-        raise SingularTransportError("numeric Jacobian is singular")
-    return np.asarray(rho_fn(X), float) / dets
+    X, logdet_inv = flow_points(Y, invert_schedule(schedule))
+    return np.asarray(rho_fn(X), float) * np.exp(logdet_inv)
 
 
-def pushforward_density(transport, rho: GridDensity, shape) -> GridDensity:
+def pushforward_density(schedule, rho: GridDensity, shape) -> GridDensity:
     """Pushforward of a grid density, evaluated on a [0,1]^d grid.
 
     rho is extended by zero outside the unit cube; output values are floored
@@ -88,7 +65,7 @@ def pushforward_density(transport, rho: GridDensity, shape) -> GridDensity:
     """
     rho_fn = density_interpolator(rho)
     Y = grid_points([np.linspace(0.0, 1.0, n) for n in shape])
-    vals = pushforward_values(transport, rho_fn, Y).reshape(shape)
+    vals = pushforward_values(schedule, rho_fn, Y).reshape(shape)
     return GridDensity(np.maximum(vals, _DENSITY_FLOOR))
 
 
@@ -126,14 +103,14 @@ def tv_stability_bound(displacements, logdets, rho: GridDensity,
                               + rho.values.max() * l1_jac))
 
 
-def contraction_check(transport, mu1: GridDensity, mu2: GridDensity,
+def contraction_check(schedule, mu1: GridDensity, mu2: GridDensity,
                       resolution: int = 256) -> tuple:
     """(TV of pushforwards, TV of inputs); the former never exceeds the
     latter beyond quadrature error, since restriction to a window only
     discards mass."""
     shape = (resolution + 1,) * mu1.d
-    p1 = pushforward_density(transport, mu1, shape)
-    p2 = pushforward_density(transport, mu2, shape)
+    p1 = pushforward_density(schedule, mu1, shape)
+    p2 = pushforward_density(schedule, mu2, shape)
     interp1 = density_interpolator(mu1)
     interp2 = density_interpolator(mu2)
     X = grid_points([np.linspace(0.0, 1.0, n) for n in shape])

@@ -122,18 +122,18 @@ def map_errors(target: TargetMap, schedule: ControlSchedule, p: float,
                resolution: int) -> tuple:
     """(L^p map error on the domain, TV error of the uniform pushforward).
 
-    The TV error compares the schedule pushforward (exact log-Jacobian)
-    against the exact target pushforward (analytic inverse plus
-    finite-difference Jacobian), integrated over the domain by midpoint
-    quadrature.
+    Both pushforwards are exact: the schedule's from its time reversal, the
+    target's as rho(x) exp(-logdet(x)) at x = phi^{-1}(y).  The TV error is
+    their midpoint-quadrature L^1 distance, nan without inverse or logdet.
     """
     flow_fn = lambda X: flow_points(X, schedule)[0]
     lp = lp_map_error(target.fn, flow_fn, target.domain, p, resolution)
-    if target.inverse is None:
+    if target.inverse is None or target.logdet is None:
         return lp, float("nan")
     rho = uniform_density(target.domain)
     Y, cell_vol = _cell_centers(target.domain, resolution)
-    exact = pushforward_values((target.fn, target.inverse), rho, Y)
+    X = target.inverse(Y)
+    exact = rho(X) * np.exp(-target.logdet(X))
     realized = pushforward_values(schedule, rho, Y)
     tv = float(np.sum(np.abs(exact - realized)) * cell_vol)
     return lp, tv

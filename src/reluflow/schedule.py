@@ -167,36 +167,12 @@ class FlowState:
 # vectorized core
 
 
-def _flow_points_segment(X: np.ndarray, logdet: np.ndarray, neuron: Neuron,
-                         duration: float, index: int | None = None):
-    """Exact segment flow for an (N, d) array of points, in place-free form."""
-    if duration < 0 or not np.isfinite(duration):
-        raise ValueError(f"segment {index}: invalid duration {duration}")
-    z = X @ neuron.a + neuron.b
-    active = z > 0.0
-    if not active.any() or duration == 0.0:
-        return X.copy(), logdet.copy()
-    s = neuron.s
-    arg = s * duration
-    if arg > _EXP_ARG_MAX:
-        raise FlowOverflowError(
-            f"segment {index}: exp argument s*duration = {arg:.3g} too large")
-    if s != 0.0:
-        scale = np.expm1(arg) / s
-        dld = arg
-    else:
-        scale = duration
-        dld = 0.0
-    Xo = X.copy()
-    Xo[active] += np.outer(z[active] * scale, neuron.w)
-    lo = logdet.copy()
-    lo[active] += dld
-    return Xo, lo
-
-
 def flow_points(X: np.ndarray, schedule: ControlSchedule):
-    """Flow an (N, d) array through a schedule; returns (X_out, logdet_out)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    """Flow an (N, d) array through a schedule; returns (X_out, logdet_out).
+
+    The input is copied once and the copy is updated in place per segment.
+    """
+    X = np.array(X, dtype=float, ndmin=2)
     if not np.all(np.isfinite(X)):
         raise ValueError("points contain non-finite entries")
     logdet = np.zeros(X.shape[0])
@@ -204,7 +180,20 @@ def flow_points(X: np.ndarray, schedule: ControlSchedule):
         if X.shape[1] != seg.neuron.d:
             raise ValueError(
                 f"segment {k}: dimension {seg.neuron.d} != point dimension {X.shape[1]}")
-        X, logdet = _flow_points_segment(X, logdet, seg.neuron, seg.duration, k)
+        z = X @ seg.neuron.a + seg.neuron.b
+        active = z > 0.0
+        if seg.duration == 0.0 or not active.any():
+            continue
+        s = seg.neuron.s
+        arg = s * seg.duration
+        if arg > _EXP_ARG_MAX:
+            raise FlowOverflowError(
+                f"segment {k}: exp argument s*duration = {arg:.3g} too large")
+        scale = np.expm1(arg) / s if s != 0.0 else seg.duration
+        # np.where, not relu(z) * scale: 0 * inf would put NaN on inactive rows
+        X += np.outer(np.where(active, z * scale, 0.0), seg.neuron.w)
+        if s != 0.0:
+            logdet[active] += arg
     return X, logdet
 
 
@@ -212,9 +201,8 @@ def flow_segment(state: FlowState, neuron: Neuron, duration: float) -> FlowState
     """Exact flow of one segment applied to a single FlowState."""
     if state.x.shape[0] != neuron.d:
         raise ValueError("neuron dimension does not match state dimension")
-    X, ld = _flow_points_segment(state.x[None, :], np.array([state.logdet]),
-                                 neuron, float(duration))
-    return FlowState(X[0], float(ld[0]))
+    X, ld = flow_points(state.x, ControlSchedule((Segment(neuron, duration),)))
+    return FlowState(X[0], state.logdet + float(ld[0]))
 
 
 def flow_schedule(x, schedule: ControlSchedule) -> FlowState:

@@ -1,7 +1,7 @@
 """Built-in target diffeomorphisms for end-to-end pipeline runs.
 
 Each target is a callable on (N, d) arrays with a known domain and, where
-available, an analytic inverse (used for exact pushforward comparisons).
+available, an analytic inverse and log|det Dphi| (for exact pushforwards).
 """
 
 from __future__ import annotations
@@ -10,9 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reluflow.compressible import MonotoneProfile, eval_profile
+from reluflow.compressible import MonotoneProfile, eval_profile, profile_logdet
 from reluflow.kr import GridDensity, kr_map
 from reluflow.mesh import RectDomain
+from reluflow.metrics import density_interpolator
 from reluflow.numerics import bisect_increasing
 
 UNIT_SQUARE = RectDomain([0.0, 0.0], [1.0, 1.0])
@@ -24,6 +25,7 @@ class TargetMap:
     fn: object                 # (N, d) -> (N, d)
     domain: RectDomain
     inverse: object = None     # analytic inverse, if available
+    logdet: object = None      # (N, d) -> (N,) log|det Dphi|, if available
     profile: MonotoneProfile = None   # set for one-coordinate profile targets
 
 
@@ -50,6 +52,19 @@ def _radial_compress(X):
     v = X - _RC_CENTER
     r2 = np.sum(v * v, axis=1)
     return _RC_CENTER + v * _rc_scale(r2)[:, None]
+
+
+def _radial_compress_logdet(X):
+    # D phi = s I + 2 s' v v^T, s' = ds/d(r^2): det = s^{d-1} (s + 2 r^2 s')
+    v = np.atleast_2d(X) - _RC_CENTER
+    r2 = np.sum(v * v, axis=1)
+    s = _rc_scale(r2)
+    ds = 4.0 * _RC_BETA * np.exp(-4.0 * r2)
+    return (v.shape[1] - 1) * np.log(s) + np.log(s + 2.0 * r2 * ds)
+
+
+def _zero_logdet(X):
+    return np.zeros(np.atleast_2d(X).shape[0])
 
 
 def _radial_compress_inv(Y):
@@ -79,28 +94,34 @@ def get_target(name: str, params: dict = None) -> TargetMap:
     if name == "identity":
         return TargetMap(name, lambda X: np.atleast_2d(np.asarray(X, float)),
                          UNIT_SQUARE,
-                         inverse=lambda Y: np.atleast_2d(np.asarray(Y, float)))
+                         inverse=lambda Y: np.atleast_2d(np.asarray(Y, float)),
+                         logdet=_zero_logdet)
     if name == "affine":
         M = np.asarray(params.get("matrix", _DEFAULT_AFFINE_M), dtype=float)
         c = np.asarray(params.get("offset", _DEFAULT_AFFINE_C), dtype=float)
         if np.linalg.det(M) <= 0:
             raise ValueError("affine target must be orientation preserving")
         M_inv = np.linalg.inv(M)
+        log_det_M = float(np.log(np.linalg.det(M)))
         return TargetMap(name,
                          lambda X: np.atleast_2d(X) @ M.T + c,
                          UNIT_SQUARE,
-                         inverse=lambda Y: (np.atleast_2d(Y) - c) @ M_inv.T)
+                         inverse=lambda Y: (np.atleast_2d(Y) - c) @ M_inv.T,
+                         logdet=lambda X: _zero_logdet(X) + log_det_M)
     if name == "sine-shear":
         return TargetMap(name, _sine_shear, UNIT_SQUARE,
-                         inverse=_sine_shear_inv)
+                         inverse=_sine_shear_inv, logdet=_zero_logdet)
     if name == "radial-compress":
         return TargetMap(name, _radial_compress, UNIT_SQUARE,
-                         inverse=_radial_compress_inv)
+                         inverse=_radial_compress_inv,
+                         logdet=_radial_compress_logdet)
     if name == "sine-radial":
+        # the shear has det 1, so the log-det is the radial map's
         return TargetMap(name, _compose(_sine_shear, _radial_compress),
                          UNIT_SQUARE,
                          inverse=_compose(_radial_compress_inv,
-                                          _sine_shear_inv))
+                                          _sine_shear_inv),
+                         logdet=_radial_compress_logdet)
     if name == "profile1d":
         prof = params.get("profile")
         prof = (MonotoneProfile.from_dict(prof) if isinstance(prof, dict)
@@ -122,13 +143,20 @@ def get_target(name: str, params: dict = None) -> TargetMap:
             return Y
 
         return TargetMap(name, fn, RectDomain(lower, upper), inverse=inv,
+                         logdet=lambda X: profile_logdet(
+                             prof, np.atleast_2d(X)[:, 0]),
                          profile=prof)
     if name == "kr":
         rho0 = density_from_spec(params.get("rho0", "uniform"))
         rho1 = density_from_spec(params.get("rho1", "tilted"))
         fwd = kr_map(rho0, rho1)
         back = kr_map(rho1, rho0)
-        return TargetMap(name, fwd, UNIT_SQUARE, inverse=back)
+        # exact for the discrete KR map: its conditional-CDF ratios telescope
+        # to rho0(x) / rho1(phi(x)) of the multilinear density interpolants
+        rho0_fn, rho1_fn = density_interpolator(rho0), density_interpolator(rho1)
+        return TargetMap(name, fwd, UNIT_SQUARE, inverse=back,
+                         logdet=lambda X: np.log(rho0_fn(X))
+                         - np.log(rho1_fn(fwd(X))))
     raise KeyError(f"unknown target {name!r}; catalog: identity, affine, "
                    "sine-shear, radial-compress, sine-radial, profile1d, kr")
 

@@ -139,3 +139,10 @@ class TestBadInputs:
     def test_unknown_counterexample_kind(self, tmp_path):
         with pytest.raises(ValueError):
             run(tmp_path, "counterexample", {"kind": "teleport"})
+
+    @pytest.mark.parametrize("verb", ["realize", "maurey", "kr",
+                                      "counterexample", "simulate",
+                                      "evaluate"])
+    def test_unknown_config_key_rejected(self, tmp_path, verb):
+        with pytest.raises(ValueError, match="mesh-h"):
+            run(tmp_path, verb, {"mesh-h": 0.1})

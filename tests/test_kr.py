@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from reluflow.kr import (
+    _CHUNK_ROWS,
     GridDensity,
     conditional_cdf,
     displacement_field,
@@ -148,6 +149,16 @@ class TestKrMap:
         fwd, back = kr_map(rho0, rho1), kr_map(rho1, rho0)
         X = rng.uniform(0.1, 0.9, size=(15, 2))
         np.testing.assert_allclose(back(fwd(X)), X, atol=1e-4)
+
+    def test_chunk_boundary_rows_match_single_rows(self, rng):
+        rho1 = GridDensity.from_function(
+            lambda X: 1 + 0.4 * X[:, 0] + 0.2 * X[:, 1], (65, 65))
+        phi = kr_map(GridDensity.uniform((65, 65)), rho1)
+        X = rng.uniform(0.0, 1.0, size=(2 * _CHUNK_ROWS + 7, 2))
+        out = phi(X)
+        for i in (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, 2 * _CHUNK_ROWS - 1,
+                  2 * _CHUNK_ROWS, len(X) - 1):
+            np.testing.assert_array_equal(out[i], phi(X[i:i + 1])[0])
 
 
 class TestDisplacementField:

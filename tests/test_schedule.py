@@ -95,6 +95,16 @@ class TestFlowSchedule:
                 xt = flow_segment(FlowState(x), neuron, t).x
                 assert neuron.a @ xt + neuron.b > 0
 
+    @pytest.mark.parametrize("n_segments", [0, 4])
+    def test_flow_points_copies_its_input(self, rng, n_segments):
+        sched = random_schedule(rng, 2, n_segments=n_segments)
+        X = rng.uniform(-3, 3, size=(8, 2))
+        X_before = X.copy()
+        Xo, _ = flow_points(X, sched)
+        np.testing.assert_array_equal(X, X_before)
+        Xo += 1.0
+        np.testing.assert_array_equal(X, X_before)
+
 
 class TestInvertSchedule:
     def test_empty(self):

@@ -40,6 +40,19 @@ class TestInverses:
         np.testing.assert_allclose(t.inverse(t.fn(X)), X, atol=1e-4)
 
 
+class TestLogdet:
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_matches_central_differences(self, name, rng):
+        t = get_target(name)
+        span = t.domain.upper - t.domain.lower
+        X = t.domain.lower + span * rng.uniform(0.05, 0.95, size=(40, 2))
+        eps = 1e-4
+        jac = np.stack([(t.fn(X + eps * e) - t.fn(X - eps * e)) / (2 * eps)
+                        for e in np.eye(2)], axis=2)
+        np.testing.assert_allclose(t.logdet(X),
+                                   np.log(np.linalg.det(jac)), atol=1e-6)
+
+
 class TestSpecificMaps:
     def test_sine_shear_values(self):
         t = get_target("sine-shear")
