@@ -19,9 +19,11 @@ from reluflow.schedule import (
     FlowState,
     Neuron,
     Segment,
+    compile_schedule,
     flow_points,
     flow_schedule,
     flow_segment,
+    flow_segments,
     invert_schedule,
     oracle_flow,
 )
@@ -34,6 +36,8 @@ __all__ = [
     "flow_segment",
     "flow_schedule",
     "flow_points",
+    "flow_segments",
+    "compile_schedule",
     "invert_schedule",
     "oracle_flow",
 ]

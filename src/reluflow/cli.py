@@ -4,7 +4,9 @@ Verbs: realize (target map -> schedule + error report), maurey (sampling
 rate study), kr (triangular transport tables), counterexample (pushforward
 TV counterexamples), simulate (trajectory streaming), evaluate (schedule
 vs target metrics).  One JSON config per run; defaults are echoed into the
-report so identical config + seed reproduce byte-identical outputs.
+report so identical config + seed reproduce byte-identical outputs.  A bad
+config, schedule file or target ends the run with a one-line
+``reluflow: error: ...`` on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -32,7 +34,12 @@ from reluflow.metrics import (
 )
 from reluflow.numerics import grid_points
 from reluflow.pipeline import map_errors, realize_target
-from reluflow.schedule import ControlSchedule, Segment, flow_points
+from reluflow.schedule import (
+    ControlSchedule,
+    FlowOverflowError,
+    Segment,
+    flow_points,
+)
 from reluflow.targets import density_from_spec, get_target
 
 
@@ -237,6 +244,11 @@ def cmd_evaluate(config: dict, out, seed: int) -> int:
     return 0
 
 
+# Bad configs, schedule files and targets: reported in one line, exit code 2.
+# json.JSONDecodeError is a ValueError, and so are FactorizationError and
+# DensityDegeneracyError; OSError covers a missing or unreadable file.
+_USER_ERRORS = (ValueError, KeyError, FlowOverflowError, OSError)
+
 _COMMANDS = {
     "realize": cmd_realize,
     "maurey": cmd_maurey,
@@ -261,10 +273,17 @@ def main(argv=None) -> int:
                        help="output file (default: stdout)")
         p.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    config = {}
-    if args.config is not None:
-        config = json.loads(Path(args.config).read_text())
-    return _COMMANDS[args.command](config, args.out, args.seed)
+    try:
+        config = {}
+        if args.config is not None:
+            config = json.loads(Path(args.config).read_text())
+        return _COMMANDS[args.command](config, args.out, args.seed)
+    except _USER_ERRORS as exc:
+        # KeyError's str() quotes its message; show the message itself
+        text = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        message = " ".join(str(text).split())
+        print(f"reluflow: error: {message}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

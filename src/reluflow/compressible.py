@@ -6,13 +6,14 @@ by a schedule acting on one coordinate:
 
 * an optional two-segment translation gadget shifting the working interval
   so that its left endpoint is fixed, followed by
-* one slope-change stage per piece, stage i holding the field
+* one slope-change stage per slope change, stage i holding the field
   gamma_i (x - c_i)_+ with gamma_i = log(alpha_i / alpha_{i-1}) / h_i for a
   time h_i, where c_i is the current position of the breakpoint y_i under
   the stages already emitted.  Those stages carry the translated breakpoint
   to c_i = zeta(y_i) (the translation fixes y_0 + tau = zeta(y_0), and each
   earlier stage j stretches the piece after c_j to slope alpha_j), so every
-  c_i is known in closed form.
+  c_i is known in closed form.  A piece with alpha_i = alpha_{i-1}
+  (alpha_{-1} = 1) gets no stage: its field would be zero.
 
 The tracked log-determinant is exactly log alpha_i on the i-th piece: the
 translation gadget contributes zero and stage increments telescope.
@@ -105,8 +106,9 @@ def profile_schedule(p: MonotoneProfile, d: int = 1, axis: int = 0) -> ControlSc
     """Schedule whose flow equals zeta exactly on [y_0, y_{n+1}].
 
     All neurons act on the chosen coordinate only, so the lift to R^d fixes
-    the other coordinates.  Segment count: n+1 stages, plus 2 for the
-    translation gadget when zeta(y_0) != y_0.
+    the other coordinates.  Segment count: one stage per piece whose slope
+    differs from the previous piece's (the first piece's from 1), so at
+    most n+1, plus 2 for the translation gadget when zeta(y_0) != y_0.
     """
     if p.is_identity():
         return ControlSchedule()
@@ -125,12 +127,11 @@ def profile_schedule(p: MonotoneProfile, d: int = 1, axis: int = 0) -> ControlSc
 
     # slope-change stages in the translated frame: breakpoints shift by tau,
     # the left endpoint becomes a fixed point, and the stages before stage i
-    # carry the translated y_i to zeta(y_i)
+    # carry the translated y_i to zeta(y_i); a ratio of 1 needs no stage
     yt = p.breakpoints + tau
     centers = eval_profile(p, p.breakpoints[:-1])
-    prev = np.concatenate([[1.0], p.slopes[:-1]])
-    stages = [slope_change_stage(float(c), alpha / before, duration,
-                                 d=d, axis=axis)
-              for c, alpha, before, duration
-              in zip(centers, p.slopes, prev, np.diff(yt))]
+    ratios = p.slopes / np.concatenate([[1.0], p.slopes[:-1]])
+    stages = [slope_change_stage(float(c), ratio, duration, d=d, axis=axis)
+              for c, ratio, duration in zip(centers, ratios, np.diff(yt))
+              if ratio != 1.0]
     return sched + ControlSchedule(tuple(stages))

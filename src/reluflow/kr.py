@@ -185,13 +185,20 @@ class KRMap:
     def d(self) -> int:
         return self.rho0.d
 
-    def _component_batch(self, k: int, x_k: np.ndarray, x_prefix: np.ndarray,
-                         phi_prefix: np.ndarray) -> np.ndarray:
+    def _component_cdfs(self, k: int, x_prefix: np.ndarray,
+                        phi_prefix: np.ndarray) -> tuple:
+        """Source and target conditional CDFs of coordinate k, one row per
+        point, given the leading coordinates and their images."""
         m0, m1 = self._marg0[k - 1], self._marg1[k - 1]
         d0 = _conditional_slices(m0, x_prefix, self._interp0[k - 1])
         d1 = _conditional_slices(m1, phi_prefix, self._interp1[k - 1])
-        targets = _ConditionalCDF(m0.nodes[-1], d0).eval(x_k)
-        return _ConditionalCDF(m1.nodes[-1], d1).invert(targets)
+        return (_ConditionalCDF(m0.nodes[-1], d0),
+                _ConditionalCDF(m1.nodes[-1], d1))
+
+    def _component_batch(self, k: int, x_k: np.ndarray, x_prefix: np.ndarray,
+                         phi_prefix: np.ndarray) -> np.ndarray:
+        F0, F1 = self._component_cdfs(k, x_prefix, phi_prefix)
+        return F1.invert(F0.eval(x_k))
 
     def __call__(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -216,18 +223,20 @@ def _isotopy_inverse(phi: KRMap, t: float, X: np.ndarray) -> np.ndarray:
 
     phi_t(y)_k = (1-t) y_k + t phi_k(y_{1:k}) is increasing in y_k, so each
     coordinate is recovered by batched bisection given the previous ones.
+    The conditional CDFs of coordinate k depend only on those, so they are
+    built once per coordinate and every bisection step only evaluates them.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.empty_like(X)
     Phi_prefix = np.empty_like(X)
     for k in range(1, phi.d + 1):
+        F0, F1 = phi._component_cdfs(k, Y[:, :k - 1], Phi_prefix[:, :k - 1])
+
         def phi_t(y):
-            return (1.0 - t) * y + t * phi._component_batch(
-                k, y, Y[:, :k - 1], Phi_prefix[:, :k - 1])
+            return (1.0 - t) * y + t * F1.invert(F0.eval(y))
         Y[:, k - 1] = bisect_increasing(phi_t, X[:, k - 1], 0.0, 1.0,
                                         _BISECT_ITERS)
-        Phi_prefix[:, k - 1] = phi._component_batch(
-            k, Y[:, k - 1], Y[:, :k - 1], Phi_prefix[:, :k - 1])
+        Phi_prefix[:, k - 1] = F1.invert(F0.eval(Y[:, k - 1]))
     return Y
 
 

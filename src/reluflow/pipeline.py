@@ -123,8 +123,9 @@ def map_errors(target: TargetMap, schedule: ControlSchedule, p: float,
     """(L^p map error on the domain, TV error of the uniform pushforward).
 
     Both pushforwards are exact: the schedule's from its time reversal, the
-    target's as rho(x) exp(-logdet(x)) at x = phi^{-1}(y).  The TV error is
-    their midpoint-quadrature L^1 distance, nan without inverse or logdet.
+    target's as rho(x) exp(-logdet(x)) at x = phi^{-1}(y), with y handed to
+    ``logdet`` as phi(x).  The TV error is their midpoint-quadrature L^1
+    distance, nan without inverse or logdet.
     """
     flow_fn = lambda X: flow_points(X, schedule)[0]
     lp = lp_map_error(target.fn, flow_fn, target.domain, p, resolution)
@@ -133,7 +134,7 @@ def map_errors(target: TargetMap, schedule: ControlSchedule, p: float,
     rho = uniform_density(target.domain)
     Y, cell_vol = _cell_centers(target.domain, resolution)
     X = target.inverse(Y)
-    exact = rho(X) * np.exp(-target.logdet(X))
+    exact = rho(X) * np.exp(-target.logdet(X, Y))
     realized = pushforward_values(schedule, rho, Y)
     tv = float(np.sum(np.abs(exact - realized)) * cell_vol)
     return lp, tv

@@ -25,7 +25,9 @@ class TargetMap:
     fn: object                 # (N, d) -> (N, d)
     domain: RectDomain
     inverse: object = None     # analytic inverse, if available
-    logdet: object = None      # (N, d) -> (N,) log|det Dphi|, if available
+    # logdet(X, Y=None) -> (N,) log|det Dphi| at the rows of X, if
+    # available; a caller holding Y = phi(X) passes it to save a map call
+    logdet: object = None
     profile: MonotoneProfile = None   # set for one-coordinate profile targets
 
 
@@ -54,7 +56,7 @@ def _radial_compress(X):
     return _RC_CENTER + v * _rc_scale(r2)[:, None]
 
 
-def _radial_compress_logdet(X):
+def _radial_compress_logdet(X, Y=None):
     # D phi = s I + 2 s' v v^T, s' = ds/d(r^2): det = s^{d-1} (s + 2 r^2 s')
     v = np.atleast_2d(X) - _RC_CENTER
     r2 = np.sum(v * v, axis=1)
@@ -63,7 +65,7 @@ def _radial_compress_logdet(X):
     return (v.shape[1] - 1) * np.log(s) + np.log(s + 2.0 * r2 * ds)
 
 
-def _zero_logdet(X):
+def _zero_logdet(X, Y=None):
     return np.zeros(np.atleast_2d(X).shape[0])
 
 
@@ -107,7 +109,7 @@ def get_target(name: str, params: dict = None) -> TargetMap:
                          lambda X: np.atleast_2d(X) @ M.T + c,
                          UNIT_SQUARE,
                          inverse=lambda Y: (np.atleast_2d(Y) - c) @ M_inv.T,
-                         logdet=lambda X: _zero_logdet(X) + log_det_M)
+                         logdet=lambda X, Y=None: _zero_logdet(X) + log_det_M)
     if name == "sine-shear":
         return TargetMap(name, _sine_shear, UNIT_SQUARE,
                          inverse=_sine_shear_inv, logdet=_zero_logdet)
@@ -143,7 +145,7 @@ def get_target(name: str, params: dict = None) -> TargetMap:
             return Y
 
         return TargetMap(name, fn, RectDomain(lower, upper), inverse=inv,
-                         logdet=lambda X: profile_logdet(
+                         logdet=lambda X, Y=None: profile_logdet(
                              prof, np.atleast_2d(X)[:, 0]),
                          profile=prof)
     if name == "kr":
@@ -155,8 +157,8 @@ def get_target(name: str, params: dict = None) -> TargetMap:
         # to rho0(x) / rho1(phi(x)) of the multilinear density interpolants
         rho0_fn, rho1_fn = density_interpolator(rho0), density_interpolator(rho1)
         return TargetMap(name, fwd, UNIT_SQUARE, inverse=back,
-                         logdet=lambda X: np.log(rho0_fn(X))
-                         - np.log(rho1_fn(fwd(X))))
+                         logdet=lambda X, Y=None: np.log(rho0_fn(X))
+                         - np.log(rho1_fn(fwd(X) if Y is None else Y)))
     raise KeyError(f"unknown target {name!r}; catalog: identity, affine, "
                    "sine-shear, radial-compress, sine-radial, profile1d, kr")
 

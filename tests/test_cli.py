@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reluflow.cli import main
-from reluflow.schedule import ControlSchedule
+from reluflow.schedule import ControlSchedule, Neuron, Segment
 
 
 def write_config(tmp_path, name, obj):
@@ -131,18 +131,79 @@ class TestEvaluateCommand:
         assert float(metrics["lp_error"]) <= 1e-9
 
 
-class TestBadInputs:
-    def test_simulate_without_schedule(self, tmp_path):
-        with pytest.raises(ValueError):
-            run(tmp_path, "simulate", {})
+def run_failing(tmp_path, capsys, verb, config):
+    """Run a verb that must fail: exit code 2, one line on stderr."""
+    cfg = write_config(tmp_path, f"{verb}.json", config)
+    out = tmp_path / "out"
+    code = main([verb, "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert not out.exists()
+    assert code == 2
+    assert err.startswith("reluflow: error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    return err
 
-    def test_unknown_counterexample_kind(self, tmp_path):
-        with pytest.raises(ValueError):
-            run(tmp_path, "counterexample", {"kind": "teleport"})
+
+class TestBadInputs:
+    def test_simulate_without_schedule(self, tmp_path, capsys):
+        err = run_failing(tmp_path, capsys, "simulate", {})
+        assert "requires a 'schedule'" in err
+
+    def test_unknown_counterexample_kind(self, tmp_path, capsys):
+        err = run_failing(tmp_path, capsys, "counterexample",
+                          {"kind": "teleport"})
+        assert "teleport" in err
 
     @pytest.mark.parametrize("verb", ["realize", "maurey", "kr",
                                       "counterexample", "simulate",
                                       "evaluate"])
-    def test_unknown_config_key_rejected(self, tmp_path, verb):
-        with pytest.raises(ValueError, match="mesh-h"):
-            run(tmp_path, verb, {"mesh-h": 0.1})
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, verb):
+        err = run_failing(tmp_path, capsys, verb, {"mesh-h": 0.1})
+        assert "mesh-h" in err
+
+    @pytest.mark.parametrize("verb", ["simulate", "evaluate"])
+    @pytest.mark.parametrize("content", [
+        "{not json",
+        json.dumps({"d": 3, "segments": [
+            {"w": [1.0, 0.0], "a": [0.0, 1.0], "b": 0.0, "duration": 1.0}]}),
+        json.dumps({"segments": [
+            {"w": [1.0, 0.0], "a": [0.0, 1.0], "b": 0.0, "duration": -1.0}]}),
+    ], ids=["malformed-json", "wrong-d", "negative-duration"])
+    def test_bad_schedule_file(self, tmp_path, capsys, verb, content):
+        path = tmp_path / "bad.schedule.json"
+        path.write_text(content)
+        run_failing(tmp_path, capsys, verb, {"schedule": str(path)})
+
+    def test_missing_schedule_file(self, tmp_path, capsys):
+        err = run_failing(tmp_path, capsys, "evaluate",
+                          {"schedule": str(tmp_path / "absent.json")})
+        assert "absent.json" in err
+
+    def test_overflowing_schedule(self, tmp_path, capsys):
+        path = tmp_path / "big.schedule.json"
+        ControlSchedule((Segment(Neuron([1000.0], [1.0], 0.0), 1.0),)).save(
+            str(path))
+        err = run_failing(tmp_path, capsys, "simulate",
+                          {"schedule": str(path), "points": [[1.0]],
+                           "substeps": 1})
+        assert "too large" in err
+
+    def test_non_monotone_realize_target(self, tmp_path, capsys):
+        # a quarter turn: its row maps are not increasing
+        err = run_failing(tmp_path, capsys, "realize", {
+            "target": "affine",
+            "target_params": {"matrix": [[0.0, -1.0], [1.0, 0.0]]},
+            "resolution": 16})
+        assert "not strictly increasing" in err
+
+    def test_unknown_target(self, tmp_path, capsys):
+        err = run_failing(tmp_path, capsys, "realize", {"target": "swirl"})
+        assert err.startswith("reluflow: error: unknown target 'swirl'")
+
+    def test_malformed_config_file(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("{\"target\": ")
+        code = main(["realize", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("reluflow: error: ")

@@ -7,7 +7,15 @@ from reluflow.compressible import (
     profile_logdet,
     profile_schedule,
 )
-from reluflow.schedule import flow_points
+from reluflow.gadgets import slope_change_stage, translation_gadget
+from reluflow.pipeline import realize_target
+from reluflow.schedule import (
+    ControlSchedule,
+    flow_points,
+    flow_segments,
+    invert_schedule,
+)
+from reluflow.targets import get_target
 
 
 def random_profile(rng, n_max=20, interval=(0.0, 1.0)):
@@ -113,6 +121,57 @@ class TestProfileSchedule:
         out, _ = flow_points(X, sched)
         np.testing.assert_array_equal(out[:, 1:], X[:, 1:])
         np.testing.assert_allclose(out[:, 0], eval_profile(p, X[:, 0]), atol=1e-10)
+
+
+def _schedule_with_unit_ratios(p: MonotoneProfile) -> ControlSchedule:
+    """profile_schedule as it was when every piece got a stage, including
+    the zero-field stages of slope ratio 1."""
+    y0 = p.breakpoints[0]
+    tau = float(eval_profile(p, y0)) - y0
+    sched = ControlSchedule()
+    if tau > 0:
+        sched = translation_gadget(y0 - 2.0, 1.0, tau, 1.0)
+    elif tau < 0:
+        sched = invert_schedule(translation_gadget(y0 - 2.0 - abs(tau), 1.0,
+                                                   abs(tau), 1.0))
+    prev = np.concatenate([[1.0], p.slopes[:-1]])
+    stages = [slope_change_stage(float(c), alpha / before, h)
+              for c, alpha, before, h
+              in zip(eval_profile(p, p.breakpoints[:-1]), p.slopes, prev,
+                     np.diff(p.breakpoints + tau))]
+    return sched + ControlSchedule(tuple(stages))
+
+
+class TestUnitRatioStages:
+    def test_no_zero_field_segment_is_emitted(self):
+        # slopes 1, 2, 2, 0.5, 0.5: three of the five ratios are 1
+        p = MonotoneProfile([0.0, 0.2, 0.4, 0.6, 0.8, 1.0],
+                            [1.0, 2.0, 2.0, 0.5, 0.5], 0.0)
+        sched = profile_schedule(p)
+        assert len(sched) == 2
+        assert all(seg.neuron.w.any() for seg in sched.segments)
+
+    def test_band_tower_schedules_have_no_zero_field(self):
+        sched = realize_target(get_target("sine-radial"), mesh_h=1 / 16,
+                               resolution=8).schedule
+        assert all(seg.neuron.w.any() for seg in sched.segments)
+
+    @pytest.mark.parametrize("beta0", [0.0, 0.3, -0.3])
+    def test_flow_bit_identical_to_all_stage_schedule(self, rng, beta0):
+        slopes = np.repeat(np.exp(rng.uniform(-1, 1, size=5)), 3)
+        slopes[:3] = 1.0
+        p = MonotoneProfile(np.linspace(0.0, 1.0, len(slopes) + 1), slopes,
+                            beta0)
+        old = _schedule_with_unit_ratios(p)
+        new = profile_schedule(p)
+        assert len(old) - len(new) == 11
+        assert old.total_duration > new.total_duration
+        x = rng.uniform(-0.5, 1.5, size=(500, 1))
+        for flow in (flow_points, flow_segments):
+            out_old, ld_old = flow(x, old)
+            out_new, ld_new = flow(x, new)
+            np.testing.assert_array_equal(out_new, out_old)
+            np.testing.assert_array_equal(ld_new, ld_old)
 
 
 class TestProfileLogdet:

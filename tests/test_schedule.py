@@ -1,23 +1,31 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reluflow.pipeline import realize_target
 from reluflow.schedule import (
+    MIN_FUSED_RUN,
     ControlSchedule,
     FlowOverflowError,
     FlowState,
     Neuron,
+    ProfileRun,
     Segment,
+    ShearRun,
+    compile_schedule,
     flow_points,
     flow_schedule,
     flow_segment,
+    flow_segments,
     invert_schedule,
     oracle_flow,
     oracle_points,
 )
+from reluflow.targets import get_target
 from tests.conftest import random_schedule
 
 
@@ -188,3 +196,194 @@ def test_segment_group_property(x, w, a, b, t):
     two = flow_segment(FlowState(np.array([x])), neuron, 2 * t)
     assert one.x[0] == pytest.approx(two.x[0], rel=1e-9, abs=1e-9)
     assert one.logdet == pytest.approx(two.logdet, rel=1e-9, abs=1e-9)
+
+
+# --------------------------------------------------------------------------
+# compiled schedules
+
+
+def _aligned(read, write, d, rng, scale=1.0, duration=0.05):
+    """An axis-aligned segment: a = +-e_read, w = c e_write."""
+    a, w = np.zeros(d), np.zeros(d)
+    a[read] = rng.choice([-1.0, 1.0])
+    w[write] = scale * rng.uniform(-2, 2)
+    return Segment(Neuron(w, a, rng.uniform(-1, 1)),
+                   rng.uniform(0, duration))
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """The band-tower schedules of the geometric route, by name."""
+    levels = [("sine-radial", 1 / 16), ("sine-radial", 1 / 32),
+              ("kr", 1 / 16), ("sine-shear", 1 / 16),
+              ("radial-compress", 1 / 16)]
+    return {f"{name}@{h:g}": realize_target(get_target(name), mesh_h=h,
+                                             cube_h=h, resolution=8).schedule
+            for name, h in levels}
+
+
+class TestCompiledSchedule:
+    def test_band_towers_compile_to_runs(self, corpus):
+        for name, sched in corpus.items():
+            steps = compile_schedule(sched).steps
+            assert all(isinstance(s, (ShearRun, ProfileRun)) for s in steps)
+            assert len(steps) == (3 if name.startswith("sine-shear") else 6)
+
+    def test_corpus_matches_per_segment_kernel(self, corpus):
+        X = np.random.default_rng(4096).uniform(size=(4096, 2))
+        for name, sched in corpus.items():
+            Y, ld = flow_points(X, sched)
+            Y_ref, ld_ref = flow_segments(X, sched)
+            assert np.abs(Y - Y_ref).max() <= 1e-9, name
+            assert np.abs(ld - ld_ref).max() <= 1e-12, name
+            # the inverse is ill-conditioned across the shear ramps, whose
+            # slope is the stagger over the ramp width
+            inv = invert_schedule(sched)
+            Z, lz = flow_points(Y_ref, inv)
+            Z_ref, lz_ref = flow_segments(Y_ref, inv)
+            assert np.abs(Z - Z_ref).max() <= 1e-7, name
+            assert np.abs(lz - lz_ref).max() <= 1e-12, name
+
+    def test_compiled_round_trip(self, corpus):
+        X = np.random.default_rng(7).uniform(size=(4096, 2))
+        for name, sched in corpus.items():
+            Y, ld = flow_points(X, sched)
+            Z, lz = flow_points(Y, invert_schedule(sched))
+            assert np.abs(Z - X).max() <= 1e-10, name
+            assert np.abs(ld + lz).max() <= 1e-12, name
+
+    def test_inverse_swaps_runs_instead_of_recompiling(self, corpus):
+        sched = corpus["sine-radial@0.0625"]
+        fwd = compile_schedule(sched).steps
+        inv = compile_schedule(invert_schedule(sched)).steps
+        for run, back in zip(fwd, reversed(inv)):
+            assert type(run) is type(back)
+            if isinstance(run, ProfileRun):
+                np.testing.assert_array_equal(back.g.knots, run.g.values)
+                np.testing.assert_array_equal(back.g.values, run.g.knots)
+                np.testing.assert_array_equal(back.logdets, -run.logdets)
+            else:
+                np.testing.assert_array_equal(back.f.knots, run.f.knots)
+                np.testing.assert_array_equal(back.f.values, -run.f.values)
+
+    def test_short_runs_stay_on_the_loop(self, rng):
+        segs = [_aligned(0, 1, 2, rng) for _ in range(MIN_FUSED_RUN - 1)]
+        steps = compile_schedule(ControlSchedule(tuple(segs))).steps
+        assert len(steps) == 1 and isinstance(steps[0], np.ndarray)
+        segs.append(_aligned(0, 1, 2, rng))
+        steps = compile_schedule(ControlSchedule(tuple(segs))).steps
+        assert len(steps) == 1 and isinstance(steps[0], ShearRun)
+
+    def test_no_op_segments_do_not_break_runs(self, rng):
+        segs = []
+        for _ in range(MIN_FUSED_RUN):
+            segs.append(_aligned(1, 1, 2, rng))
+            segs.append(Segment(Neuron([0.0, 0.0], [1.0, 0.5], 0.1), 0.3))
+            segs.append(Segment(Neuron([0.3, 0.2], [1.0, 0.5], 0.1), 0.0))
+        sched = ControlSchedule(tuple(segs))
+        steps = compile_schedule(sched).steps
+        assert len(steps) == 1 and isinstance(steps[0], ProfileRun)
+        X = rng.uniform(-2, 2, size=(200, 2))
+        Y, ld = flow_points(X, sched)
+        Y_ref, ld_ref = flow_segments(X, sched)
+        np.testing.assert_allclose(Y, Y_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ld, ld_ref, rtol=0, atol=1e-12)
+
+    def test_overflowing_segment_raises_only_when_active(self, rng):
+        # a long profile run with one segment far past the overflow guard
+        # on {x_0 > 5}
+        segs = [_aligned(0, 0, 2, rng) for _ in range(2 * MIN_FUSED_RUN)]
+        segs.insert(MIN_FUSED_RUN,
+                    Segment(Neuron([1000.0, 0.0], [1.0, 0.0], -5.0), 1.0))
+        sched = ControlSchedule(tuple(segs))
+        assert any(isinstance(s, ProfileRun)
+                   for s in compile_schedule(sched).steps)
+        X = rng.uniform(-1, 1, size=(64, 2))
+        Y, ld = flow_points(X, sched)
+        Y_ref, ld_ref = flow_segments(X, sched)
+        np.testing.assert_allclose(Y, Y_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ld, ld_ref, rtol=0, atol=1e-12)
+        X[0, 0] = 50.0
+        with pytest.raises(FlowOverflowError, match="segment"):
+            flow_points(X, sched)
+        with pytest.raises(FlowOverflowError, match="segment"):
+            flow_segments(X, sched)
+
+    def test_contracting_segment_overflows_in_the_inverse(self, rng):
+        segs = [_aligned(0, 0, 1, rng) for _ in range(2 * MIN_FUSED_RUN)]
+        segs.insert(MIN_FUSED_RUN,
+                    Segment(Neuron([-1000.0], [1.0], -5.0), 1.0))
+        sched = ControlSchedule(tuple(segs))
+        X = rng.uniform(6, 7, size=(8, 1))
+        Y, _ = flow_points(X, sched)
+        with pytest.raises(FlowOverflowError):
+            flow_points(np.array([[50.0]]), invert_schedule(sched))
+        assert np.all(np.isfinite(Y))
+
+    def test_run_with_extreme_slopes_stays_on_the_loop(self, rng):
+        # each segment contracts {x_0 > 0} by e^-60: the composed slope
+        # e^-1200 underflows, so the run is not fused
+        seg = Segment(Neuron([-60.0, 0.0], [1.0, 0.0], 0.0), 1.0)
+        sched = ControlSchedule((seg,) * (2 * MIN_FUSED_RUN))
+        steps = compile_schedule(sched).steps
+        assert len(steps) == 1 and isinstance(steps[0], np.ndarray)
+        X = rng.uniform(-1, 1, size=(64, 2))
+        Y, ld = flow_points(X, sched)
+        Y_ref, ld_ref = flow_segments(X, sched)
+        np.testing.assert_array_equal(Y, Y_ref)
+        np.testing.assert_array_equal(ld, ld_ref)
+
+    def test_input_checks_keep_their_messages(self, rng):
+        sched = ControlSchedule(tuple(_aligned(0, 1, 2, rng)
+                                      for _ in range(MIN_FUSED_RUN)))
+        with pytest.raises(ValueError, match="non-finite"):
+            flow_points(np.array([[np.nan, 0.0]]), sched)
+        with pytest.raises(ValueError, match="dimension 2 != point "
+                                             "dimension 3"):
+            flow_points(np.zeros((4, 3)), sched)
+
+    def test_cache_keeps_no_schedule_alive(self, rng):
+        segs = tuple(_aligned(0, 1, 2, rng) for _ in range(MIN_FUSED_RUN))
+        sched = ControlSchedule(segs)
+        flow_points(np.zeros((3, 2)), sched)
+        inv = invert_schedule(sched)
+        refs = weakref.ref(sched), weakref.ref(inv)
+        del sched, inv
+        assert refs[0]() is None and refs[1]() is None
+
+    def test_compiled_once(self, rng):
+        sched = random_schedule(rng, 2, n_segments=3)
+        assert compile_schedule(sched) is compile_schedule(sched)
+
+
+@st.composite
+def mixed_schedules(draw):
+    """Random runs: axis-aligned shear and profile runs, some long enough
+    to fuse, interleaved with generic segments."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    segs = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["shear", "profile", "generic"]))
+        length = draw(st.integers(1, 2 * MIN_FUSED_RUN))
+        if kind == "generic" or (kind == "shear" and d == 1):
+            segs.extend(random_schedule(rng, d, length, scale=1.0,
+                                        max_duration=0.05).segments)
+            continue
+        read = int(rng.integers(d))
+        write = read if kind == "profile" else (read + 1) % d
+        segs.extend(_aligned(read, write, d, rng) for _ in range(length))
+    return ControlSchedule(tuple(segs)), rng.uniform(-2, 2, size=(64, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=mixed_schedules())
+def test_compiled_matches_per_segment_property(case):
+    sched, X = case
+    Y, ld = flow_points(X, sched)
+    Y_ref, ld_ref = flow_segments(X, sched)
+    np.testing.assert_allclose(Y, Y_ref, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(ld, ld_ref, rtol=0, atol=1e-9)
+    Z, lz = flow_points(Y, invert_schedule(sched))
+    np.testing.assert_allclose(Z, X, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(ld + lz, 0.0, atol=1e-9)

@@ -52,6 +52,14 @@ class TestLogdet:
         np.testing.assert_allclose(t.logdet(X),
                                    np.log(np.linalg.det(jac)), atol=1e-6)
 
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_image_points_give_the_same_logdet(self, name, rng):
+        t = get_target(name)
+        span = t.domain.upper - t.domain.lower
+        X = t.domain.lower + span * rng.uniform(size=(40, 2))
+        np.testing.assert_allclose(t.logdet(X, t.fn(X)), t.logdet(X),
+                                   rtol=0, atol=1e-12)
+
 
 class TestSpecificMaps:
     def test_sine_shear_values(self):
