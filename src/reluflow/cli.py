@@ -198,6 +198,9 @@ def cmd_simulate(config: dict, out, seed: int) -> int:
     cfg = _config_echo(defaults, config, seed)
     if cfg["schedule"] is None:
         raise ValueError("simulate requires a 'schedule' (path or object)")
+    k = int(cfg["substeps"])
+    if k < 1:
+        raise ValueError(f"substeps must be >= 1; got {cfg['substeps']}")
     sched = _load_schedule(cfg["schedule"])
     X = np.atleast_2d(np.asarray(cfg["points"], dtype=float))
     n, d = X.shape
@@ -210,7 +213,6 @@ def cmd_simulate(config: dict, out, seed: int) -> int:
             rows.append((i, t) + tuple(X[i]) + (logdet[i],))
 
     snapshot()
-    k = int(cfg["substeps"])
     for seg in sched.segments:
         piece = ControlSchedule((Segment(seg.neuron, seg.duration / k),))
         for _ in range(k):

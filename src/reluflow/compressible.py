@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reluflow.gadgets import slope_change_stage, translation_gadget
+from reluflow.gadgets import slope_change_stages, translation_gadget
 from reluflow.schedule import ControlSchedule, invert_schedule
 
 
@@ -118,20 +118,18 @@ def profile_schedule(p: MonotoneProfile, d: int = 1, axis: int = 0) -> ControlSc
 
     sched = ControlSchedule()
     if tau > 0:
-        sched = sched + translation_gadget(y0 - 2.0, 1.0, tau, 1.0, d=d, axis=axis)
+        sched = translation_gadget(y0 - 2.0, 1.0, tau, 1.0, d=d, axis=axis)
     elif tau < 0:
         # exact negative translation on {x >= y0 - 1}: invert a positive gadget
-        fwd = translation_gadget(y0 - 2.0 - abs(tau), 1.0, abs(tau), 1.0,
-                                 d=d, axis=axis)
-        sched = sched + invert_schedule(fwd)
+        sched = invert_schedule(translation_gadget(
+            y0 - 2.0 - abs(tau), 1.0, abs(tau), 1.0, d=d, axis=axis))
 
     # slope-change stages in the translated frame: breakpoints shift by tau,
     # the left endpoint becomes a fixed point, and the stages before stage i
     # carry the translated y_i to zeta(y_i); a ratio of 1 needs no stage
-    yt = p.breakpoints + tau
     centers = eval_profile(p, p.breakpoints[:-1])
     ratios = p.slopes / np.concatenate([[1.0], p.slopes[:-1]])
-    stages = [slope_change_stage(float(c), ratio, duration, d=d, axis=axis)
-              for c, ratio, duration in zip(centers, ratios, np.diff(yt))
-              if ratio != 1.0]
-    return sched + ControlSchedule(tuple(stages))
+    durations = np.diff(p.breakpoints + tau)
+    keep = ratios != 1.0
+    return sched + slope_change_stages(centers[keep], ratios[keep],
+                                       durations[keep], d=d, axis=axis)

@@ -11,9 +11,10 @@ Four constructors, each with an exact closed-form flow:
   is the identity on {x.n + b <= 0}, and moves the middle strip by
   (|tau|/h)(x.n + b) sgn(tau) e_l.  Volume-preserving: logdet increment is
   exactly zero.
-* ``slope_change_stage`` -- one segment realizing x -> c + ratio * (x - c)
-  on {x >= c} over its own duration, the basic step for monotone
-  piecewise-affine profiles.
+* ``slope_change_stages`` -- one segment per stage, stage i realizing
+  x -> c_i + ratio_i * (x - c_i) on {x >= c_i} over its own duration, the
+  basic steps for monotone piecewise-affine profiles; ``slope_change_stage``
+  is the single-stage case.
 
 Gadgets accept an ambient dimension ``d`` and an ``axis`` so 1-d
 constructions lift to R^d acting on a single coordinate.
@@ -23,15 +24,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from reluflow.schedule import ControlSchedule, Neuron, Segment
+from reluflow.schedule import ControlSchedule, Segment
 
 
-def _unit(d: int, axis: int) -> np.ndarray:
-    if not 0 <= axis < d:
-        raise ValueError(f"axis {axis} out of range for dimension {d}")
-    e = np.zeros(d)
-    e[axis] = 1.0
-    return e
+def _aligned(d: int, w_axis: int, w, a_axis: int, a, b,
+             duration) -> ControlSchedule:
+    """Segments i with w = w[i] e_{w_axis} and a = a[i] e_{a_axis}."""
+    for axis in (w_axis, a_axis):
+        if not 0 <= axis < d:
+            raise ValueError(f"axis {axis} out of range for dimension {d}")
+    e = np.eye(d)
+    return ControlSchedule.from_arrays(np.multiply.outer(a, e[a_axis]),
+                                       np.multiply.outer(w, e[w_axis]), b,
+                                       duration)
 
 
 def dilation_1d(w: float, b: float, sign: int, duration: float,
@@ -42,11 +47,8 @@ def dilation_1d(w: float, b: float, sign: int, duration: float,
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if duration < 0:
-        raise ValueError("duration must be >= 0")
-    e = _unit(d, axis)
-    neuron = Neuron(sign * w * e, sign * e, -sign * b)
-    return ControlSchedule((Segment(neuron, duration),))
+    return _aligned(d, axis, [sign * w], axis, [sign], [-sign * b],
+                    [duration])
 
 
 def translation_gadget(c: float, h: float, tau: float, T: float,
@@ -63,12 +65,10 @@ def translation_gadget(c: float, h: float, tau: float, T: float,
         raise ValueError("tau must be >= 0")
     if T <= 0:
         raise ValueError("T must be positive")
-    e = _unit(d, axis)
     rate = (2.0 / T) * np.log1p(tau / h)
     eta = tau + h
-    seg1 = Segment(Neuron(rate * e, e, -c), T / 2.0)
-    seg2 = Segment(Neuron(-rate * e, e, -(c + eta)), T / 2.0)
-    return ControlSchedule((seg1, seg2))
+    return _aligned(d, axis, [rate, -rate], axis, [1.0, 1.0],
+                    [-c, -(c + eta)], [T / 2.0, T / 2.0])
 
 
 def shear_translation(k: int, l: int, a_sign: int, b: float, h: float,
@@ -90,12 +90,9 @@ def shear_translation(k: int, l: int, a_sign: int, b: float, h: float,
         raise ValueError("a_sign must be +1 or -1")
     if h <= 0:
         raise ValueError("h must be positive")
-    n = a_sign * _unit(d, k)
-    u = np.sign(tau) * _unit(d, l)
+    u = np.sign(tau)
     t = abs(tau) / h
-    seg1 = Segment(Neuron(-u, n, b - h), t)
-    seg2 = Segment(Neuron(u, n, b), t)
-    return ControlSchedule((seg1, seg2))
+    return _aligned(d, l, [-u, u], k, [a_sign, a_sign], [b - h, b], [t, t])
 
 
 def shear_for_region(move_axis: int, tau: float, sel_axis: int, lo: float,
@@ -116,17 +113,23 @@ def shear_for_region(move_axis: int, tau: float, sel_axis: int, lo: float,
     return shear_translation(sel_axis, move_axis, -1, lo, width, tau, d)
 
 
+def slope_change_stages(c, ratio, h, d: int = 1,
+                        axis: int = 0) -> ControlSchedule:
+    """One segment per stage; stage i's time-h_i flow fixes {x <= c_i} and
+    maps x -> c_i + ratio_i (x - c_i).
+
+    Stage i's rate gamma_i = log(ratio_i)/h_i integrates to its slope ratio
+    over its own duration h_i.
+    """
+    c, ratio, h = (np.asarray(v, dtype=float) for v in (c, ratio, h))
+    if np.any(ratio <= 0):
+        raise ValueError("ratio must be positive (profile must increase)")
+    if np.any(h <= 0):
+        raise ValueError("h must be positive")
+    return _aligned(d, axis, np.log(ratio) / h, axis, np.ones_like(c), -c, h)
+
+
 def slope_change_stage(c: float, ratio: float, h: float,
                        d: int = 1, axis: int = 0) -> Segment:
-    """One segment whose time-h flow fixes {x <= c} and maps x -> c + ratio (x - c).
-
-    The rate gamma = log(ratio)/h integrates to the slope ratio over the
-    stage's own duration h.
-    """
-    if ratio <= 0:
-        raise ValueError("ratio must be positive (profile must increase)")
-    if h <= 0:
-        raise ValueError("h must be positive")
-    e = _unit(d, axis)
-    gamma = np.log(ratio) / h
-    return Segment(Neuron(gamma * e, e, -c), h)
+    """The segment of the single stage (c, ratio, h); see slope_change_stages."""
+    return slope_change_stages([c], [ratio], [h], d, axis).segments[0]

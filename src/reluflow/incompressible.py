@@ -355,11 +355,8 @@ def mp_realize(m, grid: CubeGrid, p: float = 2.0,
     """
     sigma, bad = mp_to_permutation(m, grid, active=active)
     pairs = permutation_to_adjacent_transpositions(sigma, grid)
-    segments = []
-    for a, b in pairs:
-        segments.extend(
-            swap_schedule(grid.unflat(a), grid.unflat(b), grid).segments)
-    sched = ControlSchedule(tuple(segments))
+    sched = ControlSchedule.concat(
+        swap_schedule(grid.unflat(a), grid.unflat(b), grid) for a, b in pairs)
 
     rng = np.random.default_rng(seed)
     act = _active_cubes(grid, active)

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.optimize
 
 from reluflow.numerics import neuron_field, rk4
-from reluflow.schedule import ControlSchedule, Neuron, Segment, flow_points
+from reluflow.schedule import ControlSchedule, Neuron, flow_points
 
 
 class DegenerateMixtureError(ValueError):
@@ -83,15 +83,24 @@ class TimeMixture:
         """r(t) = sum mass c(theta) on cell i."""
         return float(sum(a.mass * a.cost(self.R) for a in self.cells[i]))
 
+    def overlaps(self, lo, hi) -> tuple:
+        """(overlap, r) for intervals [lo, hi] (scalars or arrays).
+
+        overlap[..., i] = |[lo, hi] ∩ cell i| (<= 0 if disjoint), and
+        r = int_lo^hi r(t) dt, summed over the overlapping cells in order.
+        """
+        t = self.time_grid
+        overlap = (np.minimum(np.asarray(hi)[..., None], t[1:])
+                   - np.maximum(np.asarray(lo)[..., None], t[:-1]))
+        r = np.zeros(np.shape(lo))
+        for i in range(self.n_cells):
+            r += np.where(overlap[..., i] > 0,
+                          overlap[..., i] * self.cell_rate(i), 0.0)
+        return overlap, r
+
     def rate_integral(self, lo: float, hi: float) -> float:
         """int_lo^hi r(t) dt, exact for the piecewise-constant mixture."""
-        total = 0.0
-        for i in range(self.n_cells):
-            a, b = self.time_grid[i], self.time_grid[i + 1]
-            overlap = min(hi, b) - max(lo, a)
-            if overlap > 0:
-                total += overlap * self.cell_rate(i)
-        return total
+        return float(self.overlaps(lo, hi)[1])
 
     def to_dict(self) -> dict:
         return {
@@ -114,7 +123,8 @@ def eval_mixture(m: TimeMixture, t: float, X):
     field = np.zeros_like(X)
     div = np.zeros(X.shape[0])
     for atom in m.cells[m.cell_index(t)]:
-        V, atom_div = neuron_field(X, atom.neuron)
+        n = atom.neuron
+        V, atom_div = neuron_field(X, n.w, n.a, n.b)
         field += atom.mass * V
         div += atom.mass * atom_div
     return field, div
@@ -134,45 +144,30 @@ def sample_schedule(m: TimeMixture, N: int, seed: int) -> SampleRun:
     """Draw one cost-weighted atom per interval, rescale, emit the schedule."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    rates = [m.cell_rate(i) for i in range(m.n_cells)]
-    costs = [[atom.cost(m.R) for atom in cell] for cell in m.cells]
-    if all(r == 0.0 for r in rates):
+    if all(m.cell_rate(i) == 0.0 for i in range(m.n_cells)):
         raise DegenerateMixtureError("mixture has zero total cost mass")
+    atoms = [atom for cell in m.cells for atom in cell]
+    cell_of = [i for i, cell in enumerate(m.cells) for _ in cell]
+    costs = np.array([atom.cost(m.R) for atom in atoms])
+    k = np.arange(N)
+    overlap, r = m.overlaps(k / N, (k + 1) / N)
+    # row k: the cost-weighted distribution over the atoms active in I_k
+    P = np.array([atom.mass for atom in atoms]) * costs * overlap[:, cell_of]
     rng = np.random.default_rng(seed)
-    neurons, weights, rs, segments = [], [], [], []
-    for k in range(N):
-        lo, hi = k / N, (k + 1) / N
-        # r_k = int_{I_k} r(t) dt, summed as TimeMixture.rate_integral does,
-        # and the cost-weighted distribution over atoms active in I_k
-        r_k = 0.0
-        cand, probs = [], []
-        for i in range(m.n_cells):
-            overlap = (min(hi, m.time_grid[i + 1]) - max(lo, m.time_grid[i]))
-            if overlap <= 0:
-                continue
-            r_k += overlap * rates[i]
-            for atom, cost in zip(m.cells[i], costs[i]):
-                p = atom.mass * cost * overlap
-                if p > 0:
-                    cand.append((atom, cost))
-                    probs.append(p)
-        rs.append(r_k)
-        if r_k == 0.0:
-            neurons.append(None)
-            weights.append(np.zeros(m.d))
-            segments.append(Segment(Neuron(np.zeros(m.d), np.zeros(m.d), 0.0),
-                                    1.0 / N))
-            continue
-        probs = np.asarray(probs) / sum(probs)
-        atom, cost = cand[rng.choice(len(cand), p=probs)]
-        w_prime = N * r_k * atom.neuron.w / cost
-        neurons.append(atom.neuron)
-        weights.append(w_prime)
-        segments.append(Segment(Neuron(w_prime, atom.neuron.a, atom.neuron.b),
-                                1.0 / N))
-    return SampleRun(N=N, seed=seed, neurons=tuple(neurons),
-                     weights=np.array(weights), r=np.array(rs),
-                     schedule=ControlSchedule(tuple(segments)))
+    # slice k: the drawn neuron with outer weight w'_k = N r_k w_k / c_k
+    # (a zero field where r_k = 0), for a duration of 1/N
+    a, weights, b = np.zeros((N, m.d)), np.zeros((N, m.d)), np.zeros(N)
+    neurons = [None] * N
+    for k in np.flatnonzero(r != 0.0).tolist():
+        cand = np.flatnonzero(P[k] > 0)
+        p = P[k, cand]
+        j = cand[rng.choice(len(cand), p=p / sum(p.tolist()))]
+        neuron = neurons[k] = atoms[j].neuron
+        a[k], b[k] = neuron.a, neuron.b
+        weights[k] = N * r[k] * neuron.w / costs[j]
+    schedule = ControlSchedule.from_arrays(a, weights, b, np.full(N, 1.0 / N))
+    return SampleRun(N=N, seed=seed, neurons=tuple(neurons), weights=weights,
+                     r=r, schedule=schedule)
 
 
 def reference_flow(m: TimeMixture, X, step: float = 1e-3):
@@ -246,7 +241,7 @@ def fit_mixture(times, points, U, R: float, dictionary_size: int, seed: int,
     # design matrix: column k stacks w_k relu(a_k . x_i + b_k) over points
     cols = []
     for n in dictionary:
-        cols.append(neuron_field(points, n)[0].ravel())
+        cols.append(neuron_field(points, n.w, n.a, n.b)[0].ravel())
     G = np.column_stack(cols)
 
     mids = (times[:-1] + times[1:]) / 2.0

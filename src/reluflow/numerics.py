@@ -28,32 +28,41 @@ def bisect_increasing(f, target, lo, hi, iters: int) -> np.ndarray:
     return 0.5 * (a + b)
 
 
-def neuron_field(X: np.ndarray, neuron):
+def neuron_field(X: np.ndarray, w, a, b):
     """Field w relu(a.x + b) at the rows of X and its divergence.
 
-    The divergence is a.w where a.x + b > 0 and 0 elsewhere.
+    The divergence is a.w where a.x + b > 0 and 0 elsewhere.  One neuron
+    has w, a of shape (d,) and a scalar b; with w, a of shape (N, d) and b
+    of shape (N,), row i of X sees neuron i.
     """
-    z = X @ neuron.a + neuron.b
-    V = np.outer(np.maximum(z, 0.0), neuron.w)
-    div = np.where(z > 0.0, neuron.s, 0.0)
+    if np.ndim(a) == 1:
+        z, s = X @ a, a @ w
+    else:
+        z, s = np.einsum("ij,ij->i", X, a), np.einsum("ij,ij->i", a, w)
+    z = z + b
+    V = np.maximum(z, 0.0)[:, None] * w
+    div = np.where(z > 0.0, s, 0.0)
     return V, div
 
 
-def rk4(field, X: np.ndarray, q: np.ndarray, duration: float, step: float):
+def rk4(field, X: np.ndarray, q: np.ndarray, duration, step: float):
     """Classical RK4 for dx/dt = v(x) and dq/dt = div v(x) over ``duration``.
 
-    ``field(X)`` returns (v, div v) at the rows of X.  The interval is cut
-    into ceil(duration / step) equal steps, at least one.  Returns (X, q).
+    ``field(X)`` returns (v, div v) at the rows of X.  ``duration`` is a
+    scalar or one entry per row of X.  Each row's interval is cut into
+    ceil(duration / step) equal steps, at least one; a row whose steps are
+    spent stands still while the others go on.  Returns (X, q).
     """
-    n = max(int(np.ceil(duration / step)), 1)
-    dt = duration / n
-    for _ in range(n):
+    n = np.maximum(np.ceil(np.divide(duration, step)).astype(int), 1)
+    for i in range(int(np.max(n))):
+        h = np.where(i < n, duration / n, 0.0)
+        hx = h[..., None]
         k1, q1 = field(X)
-        k2, q2 = field(X + 0.5 * dt * k1)
-        k3, q3 = field(X + 0.5 * dt * k2)
-        k4, q4 = field(X + dt * k3)
-        X = X + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        q = q + (dt / 6.0) * (q1 + 2 * q2 + 2 * q3 + q4)
+        k2, q2 = field(X + 0.5 * hx * k1)
+        k3, q3 = field(X + 0.5 * hx * k2)
+        k4, q4 = field(X + hx * k3)
+        X = X + (hx / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        q = q + (h / 6.0) * (q1 + 2 * q2 + 2 * q3 + q4)
     return X, q
 
 

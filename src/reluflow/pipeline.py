@@ -194,10 +194,9 @@ def band_tower(values: np.ndarray, knots: np.ndarray, edges: np.ndarray,
         return BandTower(ControlSchedule(), ControlSchedule(),
                          ControlSchedule(), K, 0.0)
     half = 0.5 * _RAMP_FRACTION * (edges[1] - edges[0])
-    stack = ControlSchedule()
-    for e in edges[1:-1]:
-        stack = stack + shear_for_region(move_axis, S, sel_axis, e - half,
-                                         e + half, d)
+    stack = ControlSchedule.concat(
+        shear_for_region(move_axis, S, sel_axis, e - half, e + half, d)
+        for e in edges[1:-1])
     return BandTower(stack, profile_schedule(profile, d=d, axis=move_axis),
                      invert_schedule(stack), K, S)
 
@@ -260,6 +259,11 @@ def realize_target(target: TargetMap, epsilon: float = 0.1,
     """
     d = target.domain.d
     cube_h = cube_h if cube_h is not None else mesh_h
+    if not all(np.isfinite(h) and h > 0 for h in (mesh_h, cube_h)):
+        raise ValueError(f"mesh_h and cube_h must be finite and > 0; got "
+                         f"mesh_h = {mesh_h}, cube_h = {cube_h}")
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1; got {resolution}")
 
     if _is_identity_map(target.fn, target.domain):
         schedule = ControlSchedule()

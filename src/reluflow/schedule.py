@@ -12,7 +12,12 @@ time-tau flow is exact:
 The log-determinant increment is exact because div v = (w.a) 1_{z>0} is
 constant along the trajectory within a segment.
 
-``flow_segments`` applies these closed forms one segment at a time; it is
+A ControlSchedule stores the control as four read-only arrays, one row per
+segment: a and w of shape (n, d), b and duration of shape (n,).  They are
+checked once, at construction; ``segments`` hands the rows back as Segment
+and Neuron objects without checking them again.
+
+``flow_segments`` applies the closed forms one segment at a time; it is
 the reference kernel that the tests compare the compiled form with.
 ``flow_points`` runs a schedule's compiled form (``compile_schedule``,
 cached on the schedule): a maximal run of axis-aligned segments (a = a_k
@@ -31,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,11 +80,6 @@ class Neuron:
     def d(self) -> int:
         return self.w.shape[0]
 
-    @property
-    def s(self) -> float:
-        """Divergence rate a.w on the active side."""
-        return float(self.a @ self.w)
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -94,58 +94,123 @@ class Segment:
             raise ValueError("duration must be finite and >= 0")
 
 
-@dataclass(frozen=True)
-class ControlSchedule:
-    """An ordered list of segments; the control is constant on each."""
+def _unchecked(cls, **fields):
+    """An instance of a frozen dataclass holding already-checked fields."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
-    segments: tuple = field(default_factory=tuple)
 
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        dims = {seg.neuron.d for seg in self.segments}
+def _stack_rows(rows) -> tuple:
+    """The a, w, b and duration columns of per-segment rows (a, w, b, tau)."""
+    a, w, b, duration = tuple(zip(*rows)) or ((),) * 4
+    columns = []
+    for col in (a, w):
+        if any(np.ndim(v) != 1 for v in col):
+            raise ValueError("w and a must be 1-d vectors")
+        dims = sorted({len(v) for v in col})
         if len(dims) > 1:
-            raise ValueError(f"segments have mixed dimensions {sorted(dims)}")
+            raise ValueError(f"segments have mixed dimensions {dims}")
+        columns.append(np.reshape(col, (len(col), dims[0] if dims else 0)))
+    return (*columns, b, duration)
+
+
+class ControlSchedule:
+    """An ordered list of segments; the control is constant on each.
+
+    Built from a tuple of Segments or with ``from_arrays``; either way the
+    arrays a, w, b and duration are copied, checked once and made read-only,
+    so the compiled form cached on the schedule cannot go stale.
+    """
+
+    __slots__ = ("a", "w", "b", "duration", "_compiled", "__weakref__")
+
+    def __init__(self, segments=()):
+        self._store(*_stack_rows((seg.neuron.a, seg.neuron.w, seg.neuron.b,
+                                  seg.duration) for seg in segments))
+
+    @classmethod
+    def from_arrays(cls, a, w, b, duration) -> "ControlSchedule":
+        """The schedule whose segment i is (w[i], a[i], b[i]) for duration[i]."""
+        schedule = cls.__new__(cls)
+        schedule._store(a, w, b, duration)
+        return schedule
+
+    def _store(self, a, w, b, duration) -> None:
+        a, w, b, duration = (np.array(v, dtype=float)
+                             for v in (a, w, b, duration))
+        if a.ndim != 2 or w.shape != a.shape:
+            raise ValueError("w and a must have the same dimension")
+        if b.shape != a.shape[:1] or duration.shape != b.shape:
+            raise ValueError("need one b and one duration per segment")
+        checks = {"w has non-finite entries": np.isfinite(w).all(axis=1),
+                  "a has non-finite entries": np.isfinite(a).all(axis=1),
+                  "b must be finite": np.isfinite(b),
+                  "duration must be finite and >= 0":
+                      np.isfinite(duration) & (duration >= 0)}
+        for problem, ok in checks.items():
+            if not ok.all():
+                raise ValueError(f"segment {np.argmin(ok)}: {problem}")
+        for v in (a, w, b, duration):
+            v.flags.writeable = False
+        self.a, self.w, self.b, self.duration = a, w, b, duration
+        self._compiled = None
+
+    @property
+    def segments(self) -> tuple:
+        """The rows as Segment objects, built on each access (unchecked:
+        the arrays were checked once, at construction)."""
+        return tuple(
+            _unchecked(Segment, neuron=_unchecked(Neuron, w=w, a=a, b=b),
+                       duration=t)
+            for w, a, b, t in zip(self.w, self.a, self.b.tolist(),
+                                  self.duration.tolist()))
 
     @property
     def d(self) -> int | None:
-        return self.segments[0].neuron.d if self.segments else None
+        return self.a.shape[1] if len(self) else None
 
     @property
     def total_duration(self) -> float:
-        return float(sum(seg.duration for seg in self.segments))
+        # summed in segment order
+        return float(sum(self.duration.tolist()))
 
     @property
     def switch_count(self) -> int:
-        return max(len(self.segments) - 1, 0)
+        return max(len(self) - 1, 0)
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return self.b.shape[0]
 
     def __add__(self, other: "ControlSchedule") -> "ControlSchedule":
-        return ControlSchedule(self.segments + tuple(other.segments))
+        return ControlSchedule.concat((self, other))
+
+    @classmethod
+    def concat(cls, schedules) -> "ControlSchedule":
+        """The schedules one after another, as one schedule."""
+        parts = [s for s in schedules if len(s)]
+        if not parts:
+            return cls()
+        return cls.from_arrays(*(np.concatenate([getattr(s, name)
+                                                 for s in parts])
+                                 for name in ("a", "w", "b", "duration")))
 
     # --- JSON persistence -------------------------------------------------
     def to_dict(self) -> dict:
         return {
             "d": self.d if self.d is not None else 0,
             "segments": [
-                {
-                    "w": seg.neuron.w.tolist(),
-                    "a": seg.neuron.a.tolist(),
-                    "b": seg.neuron.b,
-                    "duration": seg.duration,
-                }
-                for seg in self.segments
+                {"w": w, "a": a, "b": b, "duration": t}
+                for w, a, b, t in zip(self.w.tolist(), self.a.tolist(),
+                                      self.b.tolist(), self.duration.tolist())
             ],
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ControlSchedule":
-        segs = [
-            Segment(Neuron(s["w"], s["a"], s["b"]), s["duration"])
-            for s in data["segments"]
-        ]
-        schedule = cls(tuple(segs))
+        schedule = cls.from_arrays(*_stack_rows(
+            (row["a"], row["w"], row["b"], row["duration"])
+            for row in data["segments"]))
         d = schedule.d if schedule.d is not None else 0
         if "d" in data and data["d"] != d:
             raise ValueError(f"schedule declares d = {data['d']} but its "
@@ -174,85 +239,6 @@ class FlowState:
         object.__setattr__(self, "logdet", float(self.logdet))
         if not np.isfinite(self.logdet):
             raise ValueError("logdet must be finite")
-
-
-# --------------------------------------------------------------------------
-# the per-segment kernel
-
-
-@dataclass(frozen=True)
-class SegmentArrays:
-    """Structure-of-arrays view of a schedule's segments.
-
-    Row i holds segment i's a, w, b and duration, and, computed once from
-    its divergence rate s = a.w, the exponent arg = s * duration and the
-    displacement factor scale = expm1(arg) / s (the duration when s = 0).
-    """
-
-    a: np.ndarray
-    w: np.ndarray
-    b: np.ndarray
-    duration: np.ndarray
-    arg: np.ndarray
-    scale: np.ndarray
-
-    @classmethod
-    def build(cls, a, w, b, duration) -> "SegmentArrays":
-        # row-wise matmul: the same dot product as Neuron.s, bit for bit
-        s = (a[:, None, :] @ w[:, :, None]).reshape(-1)
-        arg = s * duration
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # segments past the overflow guard never reach their scale
-            scale = np.where(s != 0.0,
-                             np.expm1(np.minimum(arg, _EXP_ARG_MAX)) / s,
-                             duration)
-        return cls(a, w, b, duration, arg, scale)
-
-    @classmethod
-    def of(cls, segments, d: int) -> "SegmentArrays":
-        neurons = [seg.neuron for seg in segments]
-        shape = (len(neurons), d)
-        return cls.build(
-            np.array([n.a for n in neurons], dtype=float).reshape(shape),
-            np.array([n.w for n in neurons], dtype=float).reshape(shape),
-            np.array([n.b for n in neurons], dtype=float),
-            np.array([seg.duration for seg in segments], dtype=float))
-
-    def __len__(self) -> int:
-        return self.b.shape[0]
-
-    def reversed(self) -> "SegmentArrays":
-        """The arrays of the time-reversed schedule (see invert_schedule)."""
-        return SegmentArrays.build(self.a[::-1], -self.w[::-1],
-                                   self.b[::-1], self.duration[::-1])
-
-    def live(self) -> np.ndarray:
-        """Indices of the segments that can move a point."""
-        return np.flatnonzero((self.duration > 0.0) & self.w.any(axis=1))
-
-    def flow(self, X: np.ndarray, logdet: np.ndarray, ids) -> None:
-        """Apply segments ``ids`` in order to X and logdet, in place.
-
-        This is the closed form of the module docstring, one segment at a
-        time.  An active point on a segment whose exponent exceeds the
-        overflow guard raises FlowOverflowError.
-        """
-        a, w = self.a, self.w
-        b, arg, scale = self.b.tolist(), self.arg.tolist(), self.scale.tolist()
-        for i in ids.tolist():
-            z = X.dot(a[i]) + b[i]
-            active = z > 0.0
-            if arg[i] > _EXP_ARG_MAX:
-                if active.any():
-                    raise FlowOverflowError(
-                        f"segment {i}: exp argument s*duration = "
-                        f"{arg[i]:.3g} too large")
-                continue
-            # np.where, not relu(z) * scale: 0 * inf would put NaN on
-            # inactive rows
-            X += np.where(active, z * scale[i], 0.0)[:, None] * w[i]
-            if arg[i] != 0.0:
-                logdet += arg[i] * active
 
 
 # --------------------------------------------------------------------------
@@ -322,14 +308,13 @@ class ShearRun:
     f: PiecewiseLinear
 
     @classmethod
-    def fuse(cls, seg: SegmentArrays, ids: np.ndarray, read: int,
-             write: int) -> "ShearRun":
-        alpha, b = seg.a[ids, read], seg.b[ids]
-        # a segment adds relu(alpha x + b) * duration * w_write (s = 0)
-        gain = seg.duration[ids] * seg.w[ids, write]
+    def fuse(cls, read: int, write: int, alpha: np.ndarray, b: np.ndarray,
+             gain: np.ndarray) -> "ShearRun":
+        """Fuse the segments adding relu(alpha x_read + b) * gain to x_write
+        (gain = duration * w_write; s = 0)."""
         knots = np.unique(-b / alpha)
         values = np.empty_like(knots)
-        rows = max(1, (1 << 20) // len(ids))
+        rows = max(1, (1 << 20) // len(b))
         for lo in range(0, len(knots), rows):
             t = knots[lo:lo + rows, None]
             values[lo:lo + rows] = np.maximum(t * alpha + b, 0.0) @ gain
@@ -363,25 +348,25 @@ class ProfileRun:
     logdets: np.ndarray
 
     @classmethod
-    def fuse(cls, seg: SegmentArrays, ids: np.ndarray,
-             axis: int) -> "ProfileRun":
-        """Compose the segments' 1-d maps left to right.
+    def fuse(cls, axis: int, alpha: np.ndarray, b: np.ndarray,
+             arg: np.ndarray) -> "ProfileRun":
+        """Compose the 1-d maps of the segments reading and writing x_axis
+        with a_axis = alpha, bias b and exponent arg = s tau, left to right.
 
         Each new kink c is pulled back through the map so far to a knot
         u with g(u) = c.  The segment then maps each stored value v on its
         active side to c + (v - c) e^{s tau}, and its exponent is added to
         the log-det of every piece on that side.
         """
-        n = len(ids)
+        n = len(b)
         uv, L = np.empty((2, n)), np.zeros(n + 1)
         u, v = uv
         m, left, right = 0, 1.0, 1.0
         # exp(arg) is within range (|arg| <= the overflow guard), but the end
         # slopes may over- or underflow; well_formed rejects such a run
         with np.errstate(all="ignore"):
-            for alpha, b, arg in zip(seg.a[ids, axis].tolist(),
-                                     seg.b[ids].tolist(),
-                                     seg.arg[ids].tolist()):
+            for alpha, b, arg in zip(alpha.tolist(), b.tolist(),
+                                     arg.tolist()):
                 c = -b / alpha
                 # pull c back into piece j of the map so far; q is its knot
                 j = int(np.searchsorted(v[:m], c, side="right")) if m else 0
@@ -440,43 +425,82 @@ class ProfileRun:
 class CompiledSchedule:
     """A schedule as steps: fused runs and index arrays of loop segments.
 
-    ``segments`` holds the per-segment arrays; a step is a ShearRun, a
-    ProfileRun or an index array flowed by ``segments.flow``.  It keeps no
-    reference to its schedule, so caching it there makes no cycle.
+    A step is a ShearRun, a ProfileRun or an index array of segments that
+    ``flow`` applies one at a time.  For those it keeps the schedule's a, w
+    and b and, computed once from each divergence rate s = a.w, the exponent
+    arg = s * duration and the displacement factor scale = expm1(arg) / s
+    (the duration when s = 0).  It keeps no reference to the schedule
+    itself, so caching it there makes no cycle.
     """
 
-    segments: SegmentArrays
+    a: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
+    arg: np.ndarray
+    scale: np.ndarray
     steps: tuple
 
+    @classmethod
+    def build(cls, schedule: "ControlSchedule", steps=None) -> "CompiledSchedule":
+        """Compile ``schedule``: its runs are fused unless ``steps`` are given."""
+        a, w, duration = schedule.a, schedule.w, schedule.duration
+        s = (a[:, None, :] @ w[:, :, None]).reshape(-1)
+        arg = s * duration
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # segments past the overflow guard never reach their scale
+            scale = np.where(s != 0.0,
+                             np.expm1(np.minimum(arg, _EXP_ARG_MAX)) / s,
+                             duration)
+        if steps is None:
+            steps = _fuse_runs(schedule, arg)
+        return cls(a, w, schedule.b, arg, scale, steps)
+
     def flow(self, X: np.ndarray, logdet: np.ndarray) -> None:
-        for step in self.steps:
-            if isinstance(step, np.ndarray):
-                self.segments.flow(X, logdet, step)
-            else:
-                step.apply(X, logdet)
+        """Apply the steps in order to X and logdet, in place.
 
-    def inverse(self) -> "CompiledSchedule":
-        """The compiled time reversal: steps reversed, each inverted.
-
-        A fused run is inverted exactly (shear values negated; profile
-        knots and values swapped, log-dets negated), so a round trip does
-        not pass through a recompilation of the reversed segments.
+        Loop segments use the closed form of the module docstring.  An
+        active point on a segment whose exponent exceeds the overflow guard
+        raises FlowOverflowError.
         """
-        last = len(self.segments) - 1
-        steps = tuple(last - step[::-1] if isinstance(step, np.ndarray)
-                      else step.inverse() for step in reversed(self.steps))
-        return CompiledSchedule(self.segments.reversed(), steps)
+        a, w = self.a, self.w
+        b, arg, scale = self.b.tolist(), self.arg.tolist(), self.scale.tolist()
+        for step in self.steps:
+            if not isinstance(step, np.ndarray):
+                step.apply(X, logdet)
+                continue
+            for i in step.tolist():
+                z = X.dot(a[i]) + b[i]
+                active = z > 0.0
+                if arg[i] > _EXP_ARG_MAX:
+                    if active.any():
+                        raise FlowOverflowError(
+                            f"segment {i}: exp argument s*duration = "
+                            f"{arg[i]:.3g} too large")
+                    continue
+                # np.where, not relu(z) * scale: 0 * inf would put NaN on
+                # inactive rows
+                X += np.where(active, z * scale[i], 0.0)[:, None] * w[i]
+                if arg[i] != 0.0:
+                    logdet += arg[i] * active
 
 
-def _fuse_runs(seg: SegmentArrays, d: int) -> tuple:
+def _live(schedule: "ControlSchedule") -> np.ndarray:
+    """Indices of the segments that can move a point."""
+    return np.flatnonzero((schedule.duration > 0.0)
+                          & schedule.w.any(axis=1))
+
+
+def _fuse_runs(schedule: "ControlSchedule", arg: np.ndarray) -> tuple:
     """Split the live segments into maximal axis-aligned runs and fuse the
     long ones; everything else stays on the per-segment loop, in order."""
-    ids = seg.live()
+    ids = _live(schedule)
     if len(ids) == 0:
         return ()
-    a_axes, w_axes = seg.a[ids] != 0.0, seg.w[ids] != 0.0
+    a, w, b = schedule.a, schedule.w, schedule.b
+    d = a.shape[1]
+    a_axes, w_axes = a[ids] != 0.0, w[ids] != 0.0
     aligned = ((a_axes.sum(axis=1) == 1) & (w_axes.sum(axis=1) == 1)
-               & (np.abs(seg.arg[ids]) <= _EXP_ARG_MAX))
+               & (np.abs(arg[ids]) <= _EXP_ARG_MAX))
     key = np.where(aligned, a_axes.argmax(axis=1) * d + w_axes.argmax(axis=1),
                    -1)
     cuts = np.flatnonzero(np.diff(key)) + 1
@@ -488,8 +512,12 @@ def _fuse_runs(seg: SegmentArrays, d: int) -> tuple:
     for r in long.tolist():
         lo, hi = int(starts[r]), int(stops[r])
         read, write = divmod(int(key[lo]), d)
-        run = (ShearRun.fuse(seg, ids[lo:hi], read, write) if read != write
-               else ProfileRun.fuse(seg, ids[lo:hi], read))
+        run_ids = ids[lo:hi]
+        alpha = a[run_ids, read]
+        run = (ShearRun.fuse(read, write, alpha, b[run_ids],
+                             schedule.duration[run_ids] * w[run_ids, write])
+               if read != write
+               else ProfileRun.fuse(read, alpha, b[run_ids], arg[run_ids]))
         # a run whose map or inverse over- or underflows stays on the loop
         if not (run.well_formed() and run.inverse().well_formed()):
             continue
@@ -510,13 +538,9 @@ def compile_schedule(schedule: "ControlSchedule") -> CompiledSchedule:
     piecewise-linear map each; other segments keep the per-segment kernel.
     Segments with zero duration or zero w are dropped: they move nothing.
     """
-    compiled = vars(schedule).get("_compiled")
-    if compiled is None:
-        d = schedule.d or 0
-        seg = SegmentArrays.of(schedule.segments, d)
-        compiled = CompiledSchedule(seg, _fuse_runs(seg, d))
-        object.__setattr__(schedule, "_compiled", compiled)
-    return compiled
+    if schedule._compiled is None:
+        schedule._compiled = CompiledSchedule.build(schedule)
+    return schedule._compiled
 
 
 def _start(X, schedule: "ControlSchedule"):
@@ -544,8 +568,7 @@ def flow_points(X: np.ndarray, schedule: "ControlSchedule"):
 def flow_segments(X: np.ndarray, schedule: "ControlSchedule"):
     """The per-segment reference kernel: like flow_points, no run fused."""
     X, logdet = _start(X, schedule)
-    seg = SegmentArrays.of(schedule.segments, X.shape[1])
-    seg.flow(X, logdet, seg.live())
+    CompiledSchedule.build(schedule, (_live(schedule),)).flow(X, logdet)
     return X, logdet
 
 
@@ -568,13 +591,19 @@ def invert_schedule(schedule: ControlSchedule) -> ControlSchedule:
 
     The reversed field -w * relu(a.x + b) is again a neuron field, and the
     composition with the original flow is the identity in exact arithmetic.
-    The result carries the inverse of the schedule's compiled form.
+    The result carries the inverse of the schedule's compiled form: its
+    steps reversed, each fused run inverted exactly (shear values negated;
+    profile knots and values swapped, log-dets negated), so a round trip
+    does not pass through a recompilation of the reversed segments.
     """
-    segs = [Segment(Neuron(-seg.neuron.w, seg.neuron.a, seg.neuron.b), seg.duration)
-            for seg in reversed(schedule.segments)]
-    inverse = ControlSchedule(tuple(segs))
-    object.__setattr__(inverse, "_compiled",
-                       compile_schedule(schedule).inverse())
+    inverse = ControlSchedule.from_arrays(schedule.a[::-1], -schedule.w[::-1],
+                                          schedule.b[::-1],
+                                          schedule.duration[::-1])
+    last = len(schedule) - 1
+    steps = tuple(last - step[::-1] if isinstance(step, np.ndarray)
+                  else step.inverse()
+                  for step in reversed(compile_schedule(schedule).steps))
+    inverse._compiled = CompiledSchedule.build(inverse, steps)
     return inverse
 
 
@@ -588,11 +617,12 @@ def oracle_points(X: np.ndarray, schedule: ControlSchedule, step: float):
         raise ValueError("step must be positive")
     X = np.atleast_2d(np.asarray(X, dtype=float)).copy()
     logdet = np.zeros(X.shape[0])
-    for seg in schedule.segments:
-        if seg.duration == 0.0:
+    for w, a, b, duration in zip(schedule.w, schedule.a, schedule.b,
+                                 schedule.duration):
+        if duration == 0.0:
             continue
-        X, logdet = rk4(lambda Y: neuron_field(Y, seg.neuron), X, logdet,
-                        seg.duration, step)
+        X, logdet = rk4(lambda Y: neuron_field(Y, w, a, b), X, logdet,
+                        duration, step)
     return X, logdet
 
 

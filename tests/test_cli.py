@@ -162,17 +162,58 @@ class TestBadInputs:
         assert "mesh-h" in err
 
     @pytest.mark.parametrize("verb", ["simulate", "evaluate"])
-    @pytest.mark.parametrize("content", [
-        "{not json",
-        json.dumps({"d": 3, "segments": [
+    @pytest.mark.parametrize("content,problem", [
+        ("{not json", "Expecting property name"),
+        (json.dumps({"d": 3, "segments": [
             {"w": [1.0, 0.0], "a": [0.0, 1.0], "b": 0.0, "duration": 1.0}]}),
-        json.dumps({"segments": [
+         "declares d = 3"),
+        (json.dumps({"segments": [
             {"w": [1.0, 0.0], "a": [0.0, 1.0], "b": 0.0, "duration": -1.0}]}),
-    ], ids=["malformed-json", "wrong-d", "negative-duration"])
-    def test_bad_schedule_file(self, tmp_path, capsys, verb, content):
+         "duration must be finite and >= 0"),
+        # json.dumps writes the NaN literal, which json.loads accepts
+        (json.dumps({"segments": [
+            {"w": [float("nan"), 0.0], "a": [0.0, 1.0], "b": 0.0,
+             "duration": 1.0}]}), "w has non-finite entries"),
+        (json.dumps({"segments": [
+            {"w": [1.0, 0.0], "a": [1.0], "b": 0.0, "duration": 1.0}]}),
+         "same dimension"),
+        (json.dumps({"segments": [
+            {"w": [1.0, 0.0], "a": [0.0, 1.0], "b": 0.0, "duration": 1.0},
+            {"w": [1.0], "a": [1.0], "b": 0.0, "duration": 1.0}]}),
+         "mixed dimensions [1, 2]"),
+        (json.dumps({"segments": [
+            {"w": [1.0, 0.0], "a": [0.0, 1.0], "b": 0.0}]}), "duration"),
+        (json.dumps({"segments": [
+            {"w": [[1.0, 0.0]], "a": [[0.0, 1.0]], "b": 0.0,
+             "duration": 1.0}]}), "1-d"),
+    ], ids=["malformed-json", "wrong-d", "negative-duration", "nan-weight",
+            "a-w-mismatch", "mixed-dimensions", "missing-duration",
+            "matrix-weight"])
+    def test_bad_schedule_file(self, tmp_path, capsys, verb, content,
+                               problem):
         path = tmp_path / "bad.schedule.json"
         path.write_text(content)
-        run_failing(tmp_path, capsys, verb, {"schedule": str(path)})
+        err = run_failing(tmp_path, capsys, verb, {"schedule": str(path)})
+        assert problem in err
+
+    @pytest.mark.parametrize("substeps", [0, -2])
+    def test_bad_substeps(self, tmp_path, capsys, substeps):
+        path = tmp_path / "dil.schedule.json"
+        ControlSchedule((Segment(Neuron([1.0], [1.0], 0.0), 1.0),)).save(
+            str(path))
+        err = run_failing(tmp_path, capsys, "simulate",
+                          {"schedule": str(path), "points": [[1.0]],
+                           "substeps": substeps})
+        assert "substeps must be >= 1" in err
+
+    @pytest.mark.parametrize("sizes", [
+        {"mesh_h": 0.0}, {"mesh_h": -0.25}, {"cube_h": 0.0},
+        {"cube_h": -0.25}], ids=["zero-mesh", "negative-mesh", "zero-cube",
+                                 "negative-cube"])
+    def test_bad_mesh_sizes(self, tmp_path, capsys, sizes):
+        err = run_failing(tmp_path, capsys, "realize",
+                          {**sizes, "resolution": 16})
+        assert "mesh_h and cube_h must be finite and > 0" in err
 
     def test_missing_schedule_file(self, tmp_path, capsys):
         err = run_failing(tmp_path, capsys, "evaluate",

@@ -184,6 +184,74 @@ class TestSerialization:
         assert len(ControlSchedule.from_dict(ControlSchedule().to_dict())) == 0
 
 
+class TestArrays:
+    def _arrays(self, rng, n=4, d=2):
+        return (rng.normal(size=(n, d)), rng.normal(size=(n, d)),
+                rng.normal(size=n), rng.uniform(0, 1, size=n))
+
+    def test_arrays_are_read_only(self, rng):
+        sched = ControlSchedule.from_arrays(*self._arrays(rng))
+        for v in (sched.a, sched.w, sched.b, sched.duration):
+            assert not v.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sched.w[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            sched.segments[0].neuron.w[0] = 1.0
+
+    def test_caller_arrays_are_copied(self, rng):
+        arrays = self._arrays(rng)
+        sched = ControlSchedule.from_arrays(*arrays)
+        w = np.array(arrays[1][0])
+        neuron = Neuron(w, arrays[0][0], 0.5)
+        single = ControlSchedule((Segment(neuron, 0.3),))
+        X = rng.uniform(-1, 1, size=(16, 2))
+        before = flow_points(X, sched), flow_points(X, single)
+        kept = [v.copy() for v in (sched.a, sched.w, sched.b, sched.duration)]
+        for v in arrays + (w,):
+            v *= -2.0
+        for v, k in zip((sched.a, sched.w, sched.b, sched.duration), kept):
+            np.testing.assert_array_equal(v, k)
+        # compile afresh: the cached compiled form is not what is checked
+        after = (flow_segments(X, sched), flow_segments(X, single))
+        for (Y, ld), (Y2, ld2) in zip(before, after):
+            np.testing.assert_array_equal(Y, Y2)
+            np.testing.assert_array_equal(ld, ld2)
+
+    def test_to_dict_same_for_segments_and_arrays(self, rng):
+        sched = random_schedule(rng, 3, n_segments=5)
+        again = ControlSchedule.from_arrays(
+            [seg.neuron.a for seg in sched.segments],
+            [seg.neuron.w for seg in sched.segments],
+            [seg.neuron.b for seg in sched.segments],
+            [seg.duration for seg in sched.segments])
+        assert (json.dumps(sched.to_dict())
+                == json.dumps(again.to_dict())
+                == json.dumps(ControlSchedule(again.segments).to_dict()))
+
+    @pytest.mark.parametrize("change,problem", [
+        (lambda a, w, b, t: (a, w[:, :1], b, t), "same dimension"),
+        (lambda a, w, b, t: (a, w, b[:2], t), "one b and one duration"),
+        (lambda a, w, b, t: (a, np.where(w > 0, np.inf, w), b, t),
+         "w has non-finite"),
+        (lambda a, w, b, t: (a, w, np.full_like(b, np.nan), t),
+         "b must be finite"),
+        (lambda a, w, b, t: (a, w, b, -t), "duration must be finite"),
+    ], ids=["a-w-shape", "b-length", "inf-w", "nan-b", "negative-duration"])
+    def test_from_arrays_checks(self, rng, change, problem):
+        with pytest.raises(ValueError, match=problem):
+            ControlSchedule.from_arrays(*change(*self._arrays(rng)))
+
+    def test_concatenation(self, rng):
+        one, two = (random_schedule(rng, 2, n_segments=n) for n in (2, 3))
+        both = one + ControlSchedule() + two
+        assert len(both) == 5 and both.d == 2
+        np.testing.assert_array_equal(both.w[2:], two.w)
+        assert both.total_duration == sum(
+            seg.duration for seg in one.segments + two.segments)
+        with pytest.raises(ValueError, match="dimension"):
+            one + random_schedule(rng, 3, n_segments=1)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     x=st.floats(-3, 3), w=st.floats(-2, 2), a=st.floats(-2, 2),
