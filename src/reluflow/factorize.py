@@ -99,10 +99,6 @@ class TowerLayout:
         starts = self.L + self.H
         return np.column_stack([starts, starts + self.s])
 
-    @property
-    def height(self) -> float:
-        return float(self.H[-1] + self.s[-1]) if len(self.s) else 0.0
-
 
 @dataclass(frozen=True)
 class Factorization:

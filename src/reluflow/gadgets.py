@@ -1,6 +1,6 @@
 """Elementary building-block schedules.
 
-Four constructors, each with an exact closed-form flow:
+Five constructors, each with an exact closed-form flow:
 
 * ``dilation_1d``      -- one segment; dilates a half-line about its endpoint.
 * ``translation_gadget`` -- two segments (dilate, contract about a shifted
@@ -11,6 +11,10 @@ Four constructors, each with an exact closed-form flow:
   is the identity on {x.n + b <= 0}, and moves the middle strip by
   (|tau|/h)(x.n + b) sgn(tau) e_l.  Volume-preserving: logdet increment is
   exactly zero.
+* ``staircase`` -- one ``shear_for_region`` per nonzero jump; adds a
+  piecewise-linear staircase sum_e jump_e ramp(x_read - c_e) to x_write,
+  each ramp rising from 0 to 1 over [c_e - half, c_e + half].  It reads a
+  coordinate it never writes, so it is exact wherever the ramps are empty.
 * ``slope_change_stages`` -- one segment per stage, stage i realizing
   x -> c_i + ratio_i * (x - c_i) on {x >= c_i} over its own duration, the
   basic steps for monotone piecewise-affine profiles; ``slope_change_stage``
@@ -111,6 +115,19 @@ def shear_for_region(move_axis: int, tau: float, sel_axis: int, lo: float,
         return shear_translation(sel_axis, move_axis, +1, -lo, width, tau, d)
     # active below: n = -e_sel; identity for x >= lo, active for x <= hi
     return shear_translation(sel_axis, move_axis, -1, lo, width, tau, d)
+
+
+def staircase(write_axis: int, read_axis: int, centres, jumps, half: float,
+              d: int) -> ControlSchedule:
+    """Shears adding sum_e jumps[e] * ramp(x_read - centres[e]) to x_write.
+
+    ramp is 0 below -half, 1 above +half and linear in between; each
+    nonzero jump costs one shear_for_region, in the order given.
+    """
+    centres, jumps = np.broadcast_arrays(centres, jumps)
+    return ControlSchedule.concat(
+        shear_for_region(write_axis, tau, read_axis, c - half, c + half, d)
+        for c, tau in zip(centres, jumps) if tau != 0)
 
 
 def slope_change_stages(c, ratio, h, d: int = 1,

@@ -1,33 +1,30 @@
 """Cube-permutation realization of measure-preserving maps.
 
-A measure-preserving map on a box is approximated in three stages:
+A measure-preserving map on a box is approximated in two steps:
 
 1. classify each grid cube as *good* (a core stencil maps into a single
-   target core) or *bad*, extend the injective good assignment to a full
-   permutation of cube indices;
-2. decompose the permutation into adjacent transpositions (disjoint cycles,
-   star factorization per cycle, grid-path conjugation for non-adjacent
-   pairs);
-3. realize each adjacent swap as a divergence-free schedule that conjugates
-   a four-move block exchange by an isolation map pushing every other core
-   far below the active band.
+   target core) or *bad*, and extend the injective good assignment to a
+   full permutation sigma of cube indices (``mp_to_permutation``);
+2. realize sigma by four passes of staircase shears
+   (``permutation_schedule``).  Write n for the cubes per axis, h for
+   their pitch and "level l" for the lattice slab -L + l h <= x < -L +
+   (l + 1) h of one coordinate, extended past the box:
 
-All emitted segments are perpendicular shears (a.w = 0), so the whole
-schedule is volume preserving with tracked logdet identically zero.
+   * lift: x_1 += code(k) n h, read from every axis m != 1, where code is
+     the mixed-radix index of the source cube k without its axis-1 index;
+     every source cube now has its own x_1 level code n + k_1;
+   * move: every axis m != 1 goes to the target's index, read from x_1;
+     axis 0 also gets a slot offset slot(t) n h, with slot the mixed-radix
+     index of the target t without its axis-0 index, so that every target
+     cube has its own x_0 level slot n + t_0;
+   * drop: x_1 goes to the target's index, read from x_0;
+   * unstagger: x_0 -= slot(t) n h, read from x_1 and the other axes.
 
-The block-exchange choreography deviates from the textbook four-map picture
-in two places, both forced by the constraint that every elementary move is
-a *perpendicular* shear (a half-space can only be translated parallel to
-its boundary):
-
-* the "lift the far-right strip" move cannot also be gated on the vertical
-  coordinate, so it lifts distant isolated cores too; a mirror shear at the
-  end cancels this exactly (nothing in between changes the gating
-  coordinate of those cores);
-* the final "lower the elevated block" move cannot be gated on the vertical
-  coordinate at all; it is replaced by a pair of opposing shears gated on
-  the horizontal coordinate whose wrong moves cancel exactly outside the
-  block's column, which the isolation has emptied beforehand.
+Each pass reads only coordinates that it does not write, and every ramp
+lies inside a delta-gap between two levels, so every core is carried onto
+its target core exactly, up to rounding.  All segments are perpendicular
+shears (a.w = 0): the flow is volume preserving with tracked logdet
+identically zero.
 """
 
 from __future__ import annotations
@@ -37,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reluflow.gadgets import shear_for_region
+from reluflow.gadgets import staircase
 from reluflow.numerics import grid_points
-from reluflow.schedule import ControlSchedule, flow_points, invert_schedule
+from reluflow.schedule import ControlSchedule, flow_points
 
 
 class PermutationConflictError(RuntimeError):
@@ -83,9 +80,6 @@ class CubeGrid:
 
     def corner(self, idx) -> np.ndarray:
         return -self.L + np.asarray(idx, dtype=float) * self.h
-
-    def core_center(self, idx) -> np.ndarray:
-        return self.corner(idx) + (self.h - self.delta) / 2.0
 
     def core_contains(self, idx, X, margin: float = 0.0) -> np.ndarray:
         lo = self.corner(idx) + margin
@@ -132,35 +126,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return bool(np.all(self.sigma == np.arange(len(self.sigma))))
-
-    def cycles(self) -> list:
-        """Nontrivial disjoint cycles, each starting at its smallest element."""
-        moved = np.flatnonzero(self.sigma != np.arange(len(self.sigma)))
-        seen = set()
-        out = []
-        for start in moved:
-            start = int(start)
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            nxt = int(self.sigma[start])
-            while nxt != start:
-                cyc.append(nxt)
-                seen.add(nxt)
-                nxt = int(self.sigma[nxt])
-            out.append(cyc)
-        return out
-
-
-def apply_transpositions(pairs, n: int) -> Permutation:
-    """Compose transpositions in application order (first pair acts first)."""
-    sigma = np.arange(n)
-    for a, b in pairs:
-        # post-compose with the swap (a b): contents of a and b exchange
-        ia, ib = np.flatnonzero(sigma == a)[0], np.flatnonzero(sigma == b)[0]
-        sigma[[ia, ib]] = sigma[[ib, ia]]
-    return Permutation(sigma)
 
 
 def _active_cubes(grid: CubeGrid, active) -> np.ndarray:
@@ -241,39 +206,59 @@ def mp_to_permutation(m, grid: CubeGrid, active=None) -> tuple:
     return Permutation(sigma), bad
 
 
-def _grid_path(a: np.ndarray, b: np.ndarray) -> list:
-    """Lexicographic L-shaped lattice path from a to b (inclusive)."""
-    path = [np.array(a)]
-    cur = np.array(a)
-    for axis in range(len(a)):
-        step = 1 if b[axis] > cur[axis] else -1
-        while cur[axis] != b[axis]:
-            cur = cur.copy()
-            cur[axis] += step
-            path.append(cur)
-    return path
+def _mixed_radix(idx: np.ndarray, skip: int, n: int) -> np.ndarray:
+    """Per row: the base-n number whose digits are idx without column skip."""
+    rest = np.delete(idx, skip, axis=1)
+    return rest @ n ** np.arange(rest.shape[1])
 
 
-def permutation_to_adjacent_transpositions(sigma: Permutation,
-                                           grid: CubeGrid) -> list:
-    """Adjacent index pairs whose ordered product equals sigma.
+def permutation_schedule(sigma: Permutation, grid: CubeGrid) -> ControlSchedule:
+    """Divergence-free schedule carrying core i onto core sigma(i), for all i.
 
-    A cycle (a1 a2 ... ak) factors into consecutive-element transpositions
-    (a_{k-1} a_k), ..., (a2 a3), (a1 a2) in application order, so cycles
-    that walk the lattice one step at a time cost one adjacent swap per
-    element.  A non-adjacent transposition is conjugated along an
-    axis-by-axis lattice path into adjacent swaps (walk out, swap at the
-    far end, walk back).
+    Four passes of staircase shears (see the module docstring); ramps have
+    half-width delta/4 and are centred in the delta-gaps.  The identity
+    gives an empty schedule.
     """
-    out = []
-    for cyc in sigma.cycles():
-        for a, b in zip(cyc[-2::-1], cyc[:0:-1]):
-            ia, ib = grid.unflat(a), grid.unflat(b)
-            path = _grid_path(ia, ib)
-            steps = [(grid.flat(p), grid.flat(q))
-                     for p, q in zip(path, path[1:])]
-            out.extend(steps[:-1] + [steps[-1]] + steps[-2::-1])
-    return out
+    d, n, h, L = grid.d, grid.n, grid.h, grid.L
+    if d < 2:
+        raise ValueError("permutations need a transverse axis (d >= 2)")
+    if len(sigma) != grid.n_cubes:
+        raise ValueError(f"permutation of {len(sigma)} cubes on a grid of "
+                         f"{grid.n_cubes}")
+    if sigma.is_identity():
+        return ControlSchedule()
+    src = grid.all_indices()
+    tgt = src[sigma.sigma]
+    half = grid.delta / 4.0
+    # ramp e is centred in the gap just below level e
+    centres = -L + h * np.arange(grid.n_cubes) - grid.delta / 2.0
+
+    def by_digits(write_axis, sign):
+        """Staircases adding sign * _mixed_radix(k, write_axis) n h to
+        x_write on cube k, one per other axis, each reading that axis."""
+        others = np.delete(np.arange(d), write_axis)
+        return ControlSchedule.concat(
+            staircase(write_axis, m, centres[1:n], sign * n ** (p + 1) * h,
+                      half, d)
+            for p, m in enumerate(others))
+
+    def by_level(write_axis, read_axis, level, value):
+        """Staircase adding value[i] to x_write on x_read's level level[i]."""
+        steps = np.zeros(grid.n_cubes)
+        steps[level] = value
+        return staircase(write_axis, read_axis, centres,
+                         np.diff(steps, prepend=0.0), half, d)
+
+    lift = by_digits(1, +1)
+    level = _mixed_radix(src, 1, n) * n + src[:, 1]
+    slot = _mixed_radix(tgt, 0, n)
+    offset = tgt - src
+    offset[:, 0] += slot * n    # the slot offset, removed by unstagger
+    move = ControlSchedule.concat(by_level(m, 1, level, offset[:, m] * h)
+                                  for m in range(d) if m != 1)
+    drop = by_level(1, 0, slot * n + tgt[:, 0], (tgt[:, 1] - level) * h)
+    unstagger = by_digits(0, -1)
+    return lift + move + drop + unstagger
 
 
 def swap_schedule(i, j, grid: CubeGrid) -> ControlSchedule:
@@ -284,55 +269,14 @@ def swap_schedule(i, j, grid: CubeGrid) -> ControlSchedule:
     """
     if grid.d < 2:
         raise ValueError("swaps need a transverse axis (d >= 2)")
-    i = np.asarray(i, dtype=int)
-    j = np.asarray(j, dtype=int)
-    diff = j - i
-    axes = np.nonzero(diff)[0]
-    if len(axes) != 1 or abs(diff[axes[0]]) != 1:
-        raise ValueError(f"cubes {i.tolist()} and {j.tolist()} are not adjacent")
-    ax1 = int(axes[0])
-    base = i if diff[ax1] > 0 else j
-    ax2 = 0 if ax1 != 0 else 1
-
-    d, h, delta = grid.d, grid.h, grid.delta
-    c = grid.corner(base)
-    c1, c2 = c[ax1], c[ax2]
-    D = 4 * grid.L + 4 * h   # multiple of h: pushed cores stay lattice-aligned
-
-    iso = ControlSchedule()
-    # push cores differing in any passive axis out of the active band *and*
-    # out of the pair's column window (selectors on the passive coordinate,
-    # which neither move changes, so the displacements are exact)
-    for m in range(d):
-        if m in (ax1, ax2):
-            continue
-        cm = c[m]
-        for move_axis in (ax2, ax1):
-            iso = iso + shear_for_region(move_axis, -D, m, cm + h - delta,
-                                         cm + h, d)
-            iso = iso + shear_for_region(move_axis, -D, m, cm, cm - delta, d)
-    # push the columns left and right of the pair down, then sweep the rows
-    # above the pair sideways out of the pair's column window and down
-    iso = iso + shear_for_region(ax2, -D, ax1, c1 + 2 * h - delta, c1 + 2 * h, d)
-    iso = iso + shear_for_region(ax2, -D, ax1, c1, c1 - delta, d)
-    iso = iso + shear_for_region(ax1, -D, ax2, c2 + h - delta, c2 + h, d)
-    iso = iso + shear_for_region(ax2, -D, ax1, c1, c1 - delta, d)
-    # finally sweep everything below the band (including cores under the
-    # pair's own columns) out of the column window, so the lowering pair
-    # below cancels exactly on every isolated core
-    iso = iso + shear_for_region(ax1, -D, ax2, c2, c2 - delta, d)
-
-    # block exchange: right, lift, left, lower (the lift and the lower leak
-    # onto isolated cores; the mirror shears cancel the leaks exactly)
-    swap = ControlSchedule()
-    swap = swap + shear_for_region(ax1, +h, ax2, c2 - delta, c2, d)
-    swap = swap + shear_for_region(ax2, +h, ax1, c1 + 2 * h - delta, c1 + 2 * h, d)
-    swap = swap + shear_for_region(ax1, -2 * h, ax2, c2 + h - delta, c2 + h, d)
-    swap = swap + shear_for_region(ax2, -h, ax1, c1 + h, c1 + h - delta, d)
-    swap = swap + shear_for_region(ax2, +h, ax1, c1, c1 - delta, d)
-    swap = swap + shear_for_region(ax2, -h, ax1, c1 + 2 * h - delta, c1 + 2 * h, d)
-
-    return iso + swap + invert_schedule(iso)
+    diff = np.asarray(j, dtype=int) - np.asarray(i, dtype=int)
+    if np.sum(np.abs(diff)) != 1:
+        raise ValueError(f"cubes {np.asarray(i).tolist()} and "
+                         f"{np.asarray(j).tolist()} are not adjacent")
+    sigma = np.arange(grid.n_cubes)
+    a, b = grid.flat(i), grid.flat(j)
+    sigma[[a, b]] = b, a
+    return permutation_schedule(Permutation(sigma), grid)
 
 
 @dataclass(frozen=True)
@@ -347,16 +291,15 @@ class RealizeReport:
 
 def mp_realize(m, grid: CubeGrid, p: float = 2.0,
                samples_per_core: int = 8, seed: int = 0, active=None):
-    """Full pipeline: permutation -> transpositions -> concatenated swaps.
+    """Full pipeline: permutation -> its four-pass shear schedule.
 
     Returns (schedule, RealizeReport); the residual is the L^p distance
-    between m and the schedule flow on an evaluation cloud restricted to
-    the cores (the active cores when ``active`` boxes are given).
+    between m and the schedule flow on an evaluation cloud in the sampled
+    cores (the active and moved ones when ``active`` boxes are given),
+    over the volume of those cores.
     """
     sigma, bad = mp_to_permutation(m, grid, active=active)
-    pairs = permutation_to_adjacent_transpositions(sigma, grid)
-    sched = ControlSchedule.concat(
-        swap_schedule(grid.unflat(a), grid.unflat(b), grid) for a, b in pairs)
+    sched = permutation_schedule(sigma, grid)
 
     rng = np.random.default_rng(seed)
     act = _active_cubes(grid, active)
@@ -368,7 +311,7 @@ def mp_realize(m, grid: CubeGrid, p: float = 2.0,
                      for idx in eval_idx])
     target = np.atleast_2d(np.asarray(m(pts), dtype=float))
     flowed, _ = flow_points(pts, sched)
-    core_vol = grid.n_cubes * (grid.h - grid.delta) ** grid.d
+    core_vol = len(eval_idx) * (grid.h - grid.delta) ** grid.d
     residual = float((np.mean(np.sum(np.abs(flowed - target) ** p, axis=1))
                       * core_vol) ** (1.0 / p))
     report = RealizeReport(residual=residual, p=p, n_good=grid.n_cubes - len(bad),

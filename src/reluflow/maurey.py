@@ -153,18 +153,27 @@ def sample_schedule(m: TimeMixture, N: int, seed: int) -> SampleRun:
     overlap, r = m.overlaps(k / N, (k + 1) / N)
     # row k: the cost-weighted distribution over the atoms active in I_k
     P = np.array([atom.mass for atom in atoms]) * costs * overlap[:, cell_of]
-    rng = np.random.default_rng(seed)
+    live = np.flatnonzero(r != 0.0)
+    # Generator.choice(p=...) per interval, with one uniform per interval:
+    # normalise, accumulate, normalise again, count the cumulative weights
+    # <= u (searchsorted side="right"); disjoint atoms get zero weight
+    p = np.where(P[live] > 0, P[live], 0.0)
+    p /= np.cumsum(p, axis=1)[:, -1:]
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    u = np.random.default_rng(seed).random(len(live))
+    j = np.sum(cdf <= u[:, None], axis=1)
     # slice k: the drawn neuron with outer weight w'_k = N r_k w_k / c_k
     # (a zero field where r_k = 0), for a duration of 1/N
-    a, weights, b = np.zeros((N, m.d)), np.zeros((N, m.d)), np.zeros(N)
     neurons = [None] * N
-    for k in np.flatnonzero(r != 0.0).tolist():
-        cand = np.flatnonzero(P[k] > 0)
-        p = P[k, cand]
-        j = cand[rng.choice(len(cand), p=p / sum(p.tolist()))]
-        neuron = neurons[k] = atoms[j].neuron
-        a[k], b[k] = neuron.a, neuron.b
-        weights[k] = N * r[k] * neuron.w / costs[j]
+    for k, jk in zip(live.tolist(), j.tolist()):
+        neurons[k] = atoms[jk].neuron
+    a, weights, b = np.zeros((N, m.d)), np.zeros((N, m.d)), np.zeros(N)
+    a[live] = np.array([atom.neuron.a for atom in atoms])[j]
+    b[live] = np.array([atom.neuron.b for atom in atoms])[j]
+    weights[live] = ((N * r[live])[:, None]
+                     * np.array([atom.neuron.w for atom in atoms])[j]
+                     / costs[j][:, None])
     schedule = ControlSchedule.from_arrays(a, weights, b, np.full(N, 1.0 / N))
     return SampleRun(N=N, seed=seed, neurons=tuple(neurons), weights=weights,
                      r=r, schedule=schedule)

@@ -114,10 +114,6 @@ class Triangulation:
     def n_simplices(self) -> int:
         return self.simplices.shape[0]
 
-    @property
-    def mesh_size(self) -> float:
-        return float(self.h.max())
-
     def simplex(self, j: int) -> Simplex:
         return Simplex(self.vertices[self.simplices[j]])
 

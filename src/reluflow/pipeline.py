@@ -39,7 +39,7 @@ import numpy as np
 
 from reluflow.compressible import MonotoneProfile, profile_schedule
 from reluflow.factorize import FactorizationError
-from reluflow.gadgets import shear_for_region
+from reluflow.gadgets import staircase
 from reluflow.mesh import RectDomain
 from reluflow.metrics import _cell_centers, lp_map_error, pushforward_values
 from reluflow.numerics import bisect_increasing, grid_points
@@ -194,9 +194,7 @@ def band_tower(values: np.ndarray, knots: np.ndarray, edges: np.ndarray,
         return BandTower(ControlSchedule(), ControlSchedule(),
                          ControlSchedule(), K, 0.0)
     half = 0.5 * _RAMP_FRACTION * (edges[1] - edges[0])
-    stack = ControlSchedule.concat(
-        shear_for_region(move_axis, S, sel_axis, e - half, e + half, d)
-        for e in edges[1:-1])
+    stack = staircase(move_axis, sel_axis, edges[1:-1], S, half, d)
     return BandTower(stack, profile_schedule(profile, d=d, axis=move_axis),
                      invert_schedule(stack), K, S)
 

@@ -6,6 +6,7 @@ from reluflow.gadgets import (
     shear_for_region,
     shear_translation,
     slope_change_stage,
+    staircase,
     translation_gadget,
 )
 from reluflow.schedule import ControlSchedule, flow_points, flow_schedule
@@ -142,6 +143,29 @@ class TestShearTranslation:
                                    [0.0, 0.5], atol=1e-12)
         np.testing.assert_allclose(flow_schedule(np.array([1.5, 0.0]), down).x,
                                    [1.5, 0.0])
+
+
+class TestStaircase:
+    def test_steps_and_ramps(self, rng):
+        # x_2 += 0.5 ramp(x_0 + 1) - 2 ramp(x_0 - 2), ramps of half-width 0.1;
+        # the zero jump at x_0 = 1 emits no shear
+        centres, jumps = [-1.0, 1.0, 2.0], [0.5, 0.0, -2.0]
+        sched = staircase(2, 0, centres, jumps, 0.1, d=3)
+        assert len(sched) == 4
+        X = rng.uniform(-3, 3, size=(400, 3))
+        ramp = lambda c: np.clip((X[:, 0] - c + 0.1) / 0.2, 0.0, 1.0)
+        out, ld = flow_points(X, sched)
+        expected = X.copy()
+        expected[:, 2] += sum(t * ramp(c) for c, t in zip(centres, jumps))
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+        assert np.all(ld == 0.0)
+
+    def test_scalar_jump_matches_shears(self):
+        edges = np.array([0.25, 0.5, 0.75])
+        sched = staircase(0, 1, edges, 1.5, 0.01, d=2)
+        expected = ControlSchedule.concat(
+            shear_for_region(0, 1.5, 1, e - 0.01, e + 0.01, 2) for e in edges)
+        assert sched.to_dict() == expected.to_dict()
 
 
 class TestSlopeChangeStage:

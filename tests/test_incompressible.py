@@ -6,13 +6,12 @@ import pytest
 from reluflow.incompressible import (
     CubeGrid,
     Permutation,
-    apply_transpositions,
     mp_realize,
     mp_to_permutation,
-    permutation_to_adjacent_transpositions,
+    permutation_schedule,
     swap_schedule,
 )
-from reluflow.schedule import flow_points
+from reluflow.schedule import flow_points, flow_segments
 
 GRID2 = CubeGrid(L=1.0, h=0.5, delta=0.125, d=2)   # 4x4 on [-1,1]^2
 
@@ -56,21 +55,6 @@ class TestCubeGrid:
             CubeGrid(L=1.0, h=0.3, delta=0.05, d=2)
 
 
-class TestPermutation:
-    def test_cycles(self):
-        p = Permutation([1, 2, 0, 3, 5, 4])
-        assert p.cycles() == [[0, 1, 2], [4, 5]]
-
-    def test_apply_transpositions_matches_cycles(self, rng):
-        for _ in range(20):
-            sigma = Permutation(rng.permutation(12))
-            pairs = []
-            for cyc in sigma.cycles():
-                pairs.extend((cyc[0], a) for a in cyc[1:])
-            assert np.array_equal(apply_transpositions(pairs, 12).sigma,
-                                  sigma.sigma)
-
-
 class TestMpToPermutation:
     def test_identity(self):
         sigma, bad = mp_to_permutation(lambda X: X, GRID2)
@@ -104,28 +88,29 @@ class TestMpToPermutation:
         assert sigma.is_identity()  # lex matching of bad sources to targets
 
 
-class TestAdjacentTranspositions:
-    def test_pairs_are_adjacent(self, rng):
-        grid = GRID2
-        sigma = Permutation(rng.permutation(grid.n_cubes))
-        pairs = permutation_to_adjacent_transpositions(sigma, grid)
-        for a, b in pairs:
-            diff = grid.unflat(a) - grid.unflat(b)
-            assert np.sum(np.abs(diff)) == 1
-
+class TestPermutationSchedule:
     @pytest.mark.parametrize("d,n", [(2, 4), (2, 5), (3, 5)])
-    def test_product_equals_permutation(self, d, n, rng):
+    def test_every_core_lands_on_its_target(self, d, n, rng):
         grid = CubeGrid(L=n / 4, h=0.5, delta=0.1, d=d)
         assert grid.n == n
-        for _ in range(100):
+        cubes = grid.all_indices()
+        for _ in range(20):
             sigma = Permutation(rng.permutation(grid.n_cubes))
-            pairs = permutation_to_adjacent_transpositions(sigma, grid)
-            realized = apply_transpositions(pairs, grid.n_cubes)
-            assert np.array_equal(realized.sigma, sigma.sigma)
+            sched = permutation_schedule(sigma, grid)
+            X = np.vstack([grid.sample_core(idx, rng, 4) for idx in cubes])
+            shift = np.repeat((cubes[sigma.sigma] - cubes) * grid.h, 4, axis=0)
+            for flow in (flow_points, flow_segments):
+                out, ld = flow(X, sched)
+                assert np.max(np.abs(out - (X + shift))) <= 1e-9
+                assert np.all(ld == 0.0)
 
     def test_identity_is_empty(self):
         sigma = Permutation(np.arange(GRID2.n_cubes))
-        assert permutation_to_adjacent_transpositions(sigma, GRID2) == []
+        assert len(permutation_schedule(sigma, GRID2)) == 0
+
+    def test_size_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            permutation_schedule(Permutation(np.arange(9)), GRID2)
 
 
 class TestSwapSchedule:
@@ -268,6 +253,24 @@ class TestActiveRegion:
         boxes = [(np.array([-1.0, -1.0]), np.array([-0.5, 1.0]))]
         with pytest.raises(Exception):
             mp_to_permutation(m, GRID2, active=boxes)
+
+    def test_residual_normalised_over_sampled_cores(self):
+        # an empty schedule against a small shift on [-2, -1]^2: the active
+        # box only restricts the sampled cores, not the residual's scale
+        grid = CubeGrid(L=2.0, h=0.5, delta=0.1, d=2)
+
+        def m(X):
+            X = np.atleast_2d(X).copy()
+            box = np.all(X <= -1.0, axis=1)
+            X[box, 1] += 0.01
+            return X
+
+        boxes = [(np.array([-2.0, -2.0]), np.array([-1.0, -1.0]))]
+        sched, full = mp_realize(m, grid)
+        sched_box, boxed = mp_realize(m, grid, active=boxes)
+        assert len(sched) == len(sched_box) == 0
+        assert full.residual == pytest.approx(0.008, rel=1e-9)
+        assert boxed.residual == pytest.approx(full.residual, abs=1e-12)
 
     def test_realize_with_active_region(self, rng):
         m = periodic_translation(GRID2)

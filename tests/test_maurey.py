@@ -90,6 +90,40 @@ class TestSampleSchedule:
         r3 = sample_schedule(m, 64, seed=12)
         assert r1.schedule.to_dict() != r3.schedule.to_dict()
 
+    def test_matches_per_interval_choice(self):
+        # one Generator.choice per interval over the atoms with positive
+        # weight draws the same atoms as the batched search
+        rng = np.random.default_rng(0)
+        atoms = [BarronAtom(n, rng.choice([0.0, rng.uniform(0.1, 2.0)]))
+                 for n in ridge_dictionary(2, 24, 2.0, seed=1)]
+        cells = tuple(tuple(atoms[rng.integers(24)] for _ in range(count))
+                      for count in (3, 1, 8, 5, 2))
+        m = TimeMixture(np.array([0.0, 0.13, 0.4, 0.41, 0.8, 1.0]), cells,
+                        2.0, 2)
+        flat = [atom for cell in m.cells for atom in cell]
+        cell_of = [i for i, cell in enumerate(m.cells) for _ in cell]
+        costs = np.array([atom.cost(m.R) for atom in flat])
+        masses = np.array([atom.mass for atom in flat])
+        for N in (7, 37, 200):
+            k = np.arange(N)
+            overlap, r = m.overlaps(k / N, (k + 1) / N)
+            P = masses * costs * overlap[:, cell_of]
+            for seed in range(20):
+                draw = np.random.default_rng(seed)
+                a, w, b = np.zeros((N, 2)), np.zeros((N, 2)), np.zeros(N)
+                for k in np.flatnonzero(r != 0.0).tolist():
+                    cand = np.flatnonzero(P[k] > 0)
+                    p = P[k, cand]
+                    j = cand[draw.choice(len(cand), p=p / sum(p.tolist()))]
+                    n = flat[j].neuron
+                    a[k], b[k] = n.a, n.b
+                    w[k] = N * r[k] * n.w / costs[j]
+                run = sample_schedule(m, N, seed)
+                np.testing.assert_array_equal(run.schedule.a, a)
+                np.testing.assert_array_equal(run.schedule.w, w)
+                np.testing.assert_array_equal(run.schedule.b, b)
+                np.testing.assert_array_equal(run.weights, w)
+
     def test_degenerate_mixture(self):
         m = TimeMixture(np.array([0.0, 1.0]), ((),), 2.0, 2)
         with pytest.raises(DegenerateMixtureError):
