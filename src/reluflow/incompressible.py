@@ -212,7 +212,8 @@ def _mixed_radix(idx: np.ndarray, skip: int, n: int) -> np.ndarray:
     return rest @ n ** np.arange(rest.shape[1])
 
 
-def permutation_schedule(sigma: Permutation, grid: CubeGrid) -> ControlSchedule:
+def permutation_schedule(sigma: Permutation,
+                         grid: CubeGrid) -> ControlSchedule:
     """Divergence-free schedule carrying core i onto core sigma(i), for all i.
 
     Four passes of staircase shears (see the module docstring); ramps have
