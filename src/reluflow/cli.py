@@ -34,12 +34,7 @@ from reluflow.metrics import (
 )
 from reluflow.numerics import grid_points
 from reluflow.pipeline import map_errors, realize_target
-from reluflow.schedule import (
-    ControlSchedule,
-    FlowOverflowError,
-    Segment,
-    flow_points,
-)
+from reluflow.schedule import ControlSchedule, FlowOverflowError, flow_points
 from reluflow.targets import density_from_spec, get_target
 
 
@@ -118,8 +113,13 @@ def cmd_maurey(config: dict, out, seed: int) -> int:
         "n_seeds": 20, "n_eval": 64, "step": 1e-3, "eval_radius_frac": 0.5,
     }
     cfg = _config_echo(defaults, config, seed)
-    m = (builtin_mixture() if cfg["mixture"] == "builtin"
-         else TimeMixture.from_dict(cfg["mixture"]))
+    if cfg["mixture"] == "builtin":
+        m = builtin_mixture()
+    elif isinstance(cfg["mixture"], dict):
+        m = TimeMixture.from_dict(cfg["mixture"])
+    else:
+        raise ValueError("mixture must be \"builtin\" or a mixture object; "
+                         f"got {cfg['mixture']!r}")
     rng = np.random.default_rng(seed)
     radius = m.R * float(cfg["eval_radius_frac"])
     pts = rng.uniform(-radius / np.sqrt(m.d), radius / np.sqrt(m.d),
@@ -213,12 +213,14 @@ def cmd_simulate(config: dict, out, seed: int) -> int:
             rows.append((i, t) + tuple(X[i]) + (logdet[i],))
 
     snapshot()
-    for seg in sched.segments:
-        piece = ControlSchedule((Segment(seg.neuron, seg.duration / k),))
+    for i, tau in enumerate(sched.duration.tolist()):
+        # segment i for a k-th of its duration
+        piece = ControlSchedule.from_arrays(
+            sched.a[i:i + 1], sched.w[i:i + 1], sched.b[i:i + 1], [tau / k])
         for _ in range(k):
             X, ld = flow_points(X, piece)
             logdet = logdet + ld
-            t += seg.duration / k
+            t += tau / k
             snapshot()
     header = ("point", "t") + tuple(f"x{j}" for j in range(d)) + ("logdet",)
     text = "# config " + json.dumps(cfg, sort_keys=True) + "\n"

@@ -73,10 +73,6 @@ class MonotoneProfile:
     def is_identity(self) -> bool:
         return self.beta0 == 0.0 and np.all(self.slopes == 1.0)
 
-    def to_dict(self) -> dict:
-        return {"breakpoints": self.breakpoints.tolist(),
-                "slopes": self.slopes.tolist(), "beta0": self.beta0}
-
     @classmethod
     def from_dict(cls, data: dict) -> "MonotoneProfile":
         return cls(data["breakpoints"], data["slopes"], data["beta0"])

@@ -315,7 +315,8 @@ def mp_realize(m, grid: CubeGrid, p: float = 2.0,
     core_vol = len(eval_idx) * (grid.h - grid.delta) ** grid.d
     residual = float((np.mean(np.sum(np.abs(flowed - target) ** p, axis=1))
                       * core_vol) ** (1.0 / p))
-    report = RealizeReport(residual=residual, p=p, n_good=grid.n_cubes - len(bad),
+    # only the classified (active) cubes count as good or bad
+    report = RealizeReport(residual=residual, p=p, n_good=len(act) - len(bad),
                            n_bad=len(bad), n_segments=len(sched),
                            switch_count=sched.switch_count)
     return sched, report

@@ -1,11 +1,16 @@
 """Single-neuron sampling of time-dependent ReLU mixtures.
 
-A field u(t, x) = sum_j mass_j w_j relu(a_j . x + b_j), piecewise constant
-in t on a grid, is approximated by a schedule with one neuron per time
-interval I_k = [k/N, (k+1)/N]: the neuron is drawn from the cost-weighted
-atom distribution on I_k and its outer weight is rescaled so that the
-expected field over I_k is reproduced.  The flow error then decays like
-N^{-1/2}, which is what the rate study measures.
+A field u(t, x) = sum_j mass_ij w_j relu(a_j . x + b_j) on time cell i,
+piecewise constant in t on a grid, is approximated by a schedule with one
+neuron per time interval I_k = [k/N, (k+1)/N]: the neuron is drawn from
+the cost-weighted atom distribution on I_k and its outer weight is
+rescaled so that the expected field over I_k is reproduced.  The flow
+error then decays like N^{-1/2}, which is what the rate study measures.
+
+A TimeMixture stores its M atoms as arrays, like a schedule: a and w of
+shape (M, d), b of shape (M,), and one row of masses per time cell, mass
+of shape (n_cells, M); an atom missing from a cell has mass 0 there.  The
+arrays are checked once, at construction, and are read-only.
 
 The atom cost is c(theta) = |w| (R |a| + |b|) on a working ball of radius
 R; per-interval masses r_k = int_{I_k} r(t) dt are exact sums because the
@@ -14,74 +19,80 @@ mixture is piecewise constant in t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.optimize
 
-from reluflow.numerics import neuron_field, rk4
-from reluflow.schedule import ControlSchedule, Neuron, flow_points
+from reluflow.numerics import rk4
+from reluflow.schedule import ControlSchedule, flow_points
 
 
 class DegenerateMixtureError(ValueError):
     """Sampling requested from a mixture with zero total cost mass."""
 
 
-def atom_cost(neuron: Neuron, R: float) -> float:
-    """c(theta) = |w| (R |a| + |b|)."""
-    return float(np.linalg.norm(neuron.w)
-                 * (R * np.linalg.norm(neuron.a) + abs(neuron.b)))
-
-
-@dataclass(frozen=True)
-class BarronAtom:
-    neuron: Neuron
-    mass: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mass", float(self.mass))
-        if self.mass < 0:
-            raise ValueError("atom mass must be >= 0")
-
-    def cost(self, R: float) -> float:
-        return atom_cost(self.neuron, R)
-
-
 @dataclass(frozen=True)
 class TimeMixture:
-    """Piecewise-constant-in-time atom mixture on [0, 1], ball radius R."""
+    """Piecewise-constant-in-time atom mixture on [0, 1], ball radius R.
+
+    On time cell i the field is sum_j mass[i, j] w[j] relu(a[j] . x + b[j]).
+    """
 
     time_grid: np.ndarray     # 0 = t_0 < ... < t_m = 1
-    cells: tuple              # per cell: tuple of BarronAtom
+    a: np.ndarray             # (M, d)
+    w: np.ndarray             # (M, d)
+    b: np.ndarray             # (M,)
+    mass: np.ndarray          # (m, M): one row per time cell
     R: float
-    d: int
+    costs: np.ndarray = field(init=False, repr=False)   # c_j per atom
+    rates: np.ndarray = field(init=False, repr=False)   # r(t) per cell
 
     def __post_init__(self):
-        t = np.asarray(self.time_grid, dtype=float)
-        object.__setattr__(self, "time_grid", t)
-        object.__setattr__(self, "cells", tuple(tuple(c) for c in self.cells))
-        if len(t) < 2 or abs(t[0]) > 1e-12 or abs(t[-1] - 1.0) > 1e-12:
+        t, a, w, b, mass = (np.array(v, dtype=float) for v in (
+            self.time_grid, self.a, self.w, self.b, self.mass))
+        R = float(self.R)
+        if (t.ndim != 1 or len(t) < 2 or abs(t[0]) > 1e-12
+                or abs(t[-1] - 1.0) > 1e-12):
             raise ValueError("time grid must span [0, 1]")
         if not np.all(np.diff(t) > 0):
             raise ValueError("time grid must be increasing")
-        if len(self.cells) != len(t) - 1:
-            raise ValueError("need one atom list per time cell")
-        for cell in self.cells:
-            for atom in cell:
-                if atom.neuron.d != self.d:
-                    raise ValueError("atom dimension mismatch")
+        if a.ndim != 2 or w.shape != a.shape or b.shape != a.shape[:1]:
+            raise ValueError("atoms need a and w of shape (M, d) and b of "
+                             "shape (M,)")
+        if mass.shape != (len(t) - 1, len(b)):
+            raise ValueError("need one mass row (atom list) per time cell")
+        checks = {"a has non-finite entries": np.isfinite(a).all(),
+                  "w has non-finite entries": np.isfinite(w).all(),
+                  "b must be finite": np.isfinite(b).all(),
+                  "mass must be finite and >= 0":
+                      np.isfinite(mass).all() and (mass >= 0).all(),
+                  "R must be finite and > 0": np.isfinite(R) and R > 0}
+        for problem, ok in checks.items():
+            if not ok:
+                raise ValueError(f"mixture: {problem}")
+        costs = np.sqrt(np.vecdot(w, w)) * (R * np.sqrt(np.vecdot(a, a))
+                                            + np.abs(b))
+        # r on cell i = sum_j mass_ij c_j, summed atom by atom
+        rates = (np.cumsum(mass * costs, axis=1)[:, -1] if len(b)
+                 else np.zeros(len(mass)))
+        for name, v in (("time_grid", t), ("a", a), ("w", w), ("b", b),
+                        ("mass", mass), ("costs", costs), ("rates", rates)):
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "R", R)
+
+    @property
+    def d(self) -> int:
+        return self.a.shape[1]
 
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.mass)
 
     def cell_index(self, t: float) -> int:
         i = int(np.searchsorted(self.time_grid, t, side="right") - 1)
         return min(max(i, 0), self.n_cells - 1)
-
-    def cell_rate(self, i: int) -> float:
-        """r(t) = sum mass c(theta) on cell i."""
-        return float(sum(a.mass * a.cost(self.R) for a in self.cells[i]))
 
     def overlaps(self, lo, hi) -> tuple:
         """(overlap, r) for intervals [lo, hi] (scalars or arrays).
@@ -92,50 +103,49 @@ class TimeMixture:
         t = self.time_grid
         overlap = (np.minimum(np.asarray(hi)[..., None], t[1:])
                    - np.maximum(np.asarray(lo)[..., None], t[:-1]))
-        r = np.zeros(np.shape(lo))
-        for i in range(self.n_cells):
-            r += np.where(overlap[..., i] > 0,
-                          overlap[..., i] * self.cell_rate(i), 0.0)
+        r = np.cumsum(np.where(overlap > 0, overlap * self.rates, 0.0),
+                      axis=-1)[..., -1]
         return overlap, r
 
     def rate_integral(self, lo: float, hi: float) -> float:
         """int_lo^hi r(t) dt, exact for the piecewise-constant mixture."""
         return float(self.overlaps(lo, hi)[1])
 
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d, "R": self.R, "time_grid": self.time_grid.tolist(),
-            "cells": [[{"w": a.neuron.w.tolist(), "a": a.neuron.a.tolist(),
-                        "b": a.neuron.b, "mass": a.mass} for a in cell]
-                      for cell in self.cells],
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> "TimeMixture":
-        cells = [tuple(BarronAtom(Neuron(a["w"], a["a"], a["b"]), a["mass"])
-                       for a in cell) for cell in data["cells"]]
-        return cls(data["time_grid"], tuple(cells), data["R"], data["d"])
+        """The mixture of {"d", "R", "time_grid", "cells"}, where each cell
+        lists its atoms {"w", "a", "b", "mass"}: one atom row per listed
+        atom, with its mass in its own cell only."""
+        d = int(data["d"])
+        atoms = [atom for cell in data["cells"] for atom in cell]
+        cell_of = [i for i, cell in enumerate(data["cells"]) for _ in cell]
+        a, w = (np.array([atom[key] for atom in atoms], dtype=float)
+                if atoms else np.zeros((0, d)) for key in ("a", "w"))
+        if a.shape != (len(atoms), d) or w.shape != a.shape:
+            raise ValueError(f"mixture declares d = {data['d']} but its "
+                             "atoms' a and w are not all of that dimension")
+        mass = np.zeros((len(data["cells"]), len(atoms)))
+        mass[cell_of, np.arange(len(atoms))] = [atom["mass"] for atom in atoms]
+        return cls(data["time_grid"], a, w,
+                   np.array([atom["b"] for atom in atoms], dtype=float),
+                   mass, data["R"])
 
 
 def eval_mixture(m: TimeMixture, t: float, X):
     """Field and divergence of the mixture at time t; vectorized in X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    field = np.zeros_like(X)
-    div = np.zeros(X.shape[0])
-    for atom in m.cells[m.cell_index(t)]:
-        n = atom.neuron
-        V, atom_div = neuron_field(X, n.w, n.a, n.b)
-        field += atom.mass * V
-        div += atom.mass * atom_div
-    return field, div
+    mass = m.mass[m.cell_index(t)]
+    z = X @ m.a.T + m.b
+    V = (np.maximum(z, 0.0) * mass) @ m.w
+    div = (z > 0.0) @ (mass * np.vecdot(m.a, m.w))
+    return V, div
 
 
 @dataclass(frozen=True)
 class SampleRun:
     N: int
     seed: int
-    neurons: tuple          # theta_k per interval (None where r_k = 0)
-    weights: np.ndarray     # scaled outer weights w'_k = N r_k w_k / c
+    atom: np.ndarray        # the drawn atom per interval (-1 where r_k = 0)
     r: np.ndarray           # per-interval rate integrals r_k
     schedule: ControlSchedule
 
@@ -144,39 +154,33 @@ def sample_schedule(m: TimeMixture, N: int, seed: int) -> SampleRun:
     """Draw one cost-weighted atom per interval, rescale, emit the schedule."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if all(m.cell_rate(i) == 0.0 for i in range(m.n_cells)):
+    if np.all(m.rates == 0.0):
         raise DegenerateMixtureError("mixture has zero total cost mass")
-    atoms = [atom for cell in m.cells for atom in cell]
-    cell_of = [i for i, cell in enumerate(m.cells) for _ in cell]
-    costs = np.array([atom.cost(m.R) for atom in atoms])
     k = np.arange(N)
     overlap, r = m.overlaps(k / N, (k + 1) / N)
-    # row k: the cost-weighted distribution over the atoms active in I_k
-    P = np.array([atom.mass for atom in atoms]) * costs * overlap[:, cell_of]
+    # the (cell, atom) pairs with positive mass, cell by cell; row k of P:
+    # the cost-weighted distribution over the pairs active in I_k
+    cell, atom = np.nonzero(m.mass)
+    P = m.mass[cell, atom] * m.costs[atom] * overlap[:, cell]
     live = np.flatnonzero(r != 0.0)
     # Generator.choice(p=...) per interval, with one uniform per interval:
     # normalise, accumulate, normalise again, count the cumulative weights
-    # <= u (searchsorted side="right"); disjoint atoms get zero weight
+    # <= u (searchsorted side="right"); disjoint pairs get zero weight
     p = np.where(P[live] > 0, P[live], 0.0)
     p /= np.cumsum(p, axis=1)[:, -1:]
     cdf = np.cumsum(p, axis=1)
     cdf /= cdf[:, -1:]
     u = np.random.default_rng(seed).random(len(live))
-    j = np.sum(cdf <= u[:, None], axis=1)
+    j = atom[np.sum(cdf <= u[:, None], axis=1)]
     # slice k: the drawn neuron with outer weight w'_k = N r_k w_k / c_k
     # (a zero field where r_k = 0), for a duration of 1/N
-    neurons = [None] * N
-    for k, jk in zip(live.tolist(), j.tolist()):
-        neurons[k] = atoms[jk].neuron
-    a, weights, b = np.zeros((N, m.d)), np.zeros((N, m.d)), np.zeros(N)
-    a[live] = np.array([atom.neuron.a for atom in atoms])[j]
-    b[live] = np.array([atom.neuron.b for atom in atoms])[j]
-    weights[live] = ((N * r[live])[:, None]
-                     * np.array([atom.neuron.w for atom in atoms])[j]
-                     / costs[j][:, None])
-    schedule = ControlSchedule.from_arrays(a, weights, b, np.full(N, 1.0 / N))
-    return SampleRun(N=N, seed=seed, neurons=tuple(neurons), weights=weights,
-                     r=r, schedule=schedule)
+    drawn = np.full(N, -1)
+    drawn[live] = j
+    a, w, b = np.zeros((N, m.d)), np.zeros((N, m.d)), np.zeros(N)
+    a[live], b[live] = m.a[j], m.b[j]
+    w[live] = (N * r[live])[:, None] * m.w[j] / m.costs[j][:, None]
+    schedule = ControlSchedule.from_arrays(a, w, b, np.full(N, 1.0 / N))
+    return SampleRun(N=N, seed=seed, atom=drawn, r=r, schedule=schedule)
 
 
 def reference_flow(m: TimeMixture, X, step: float = 1e-3):
@@ -218,18 +222,20 @@ def rate_fit(runs) -> float:
     return float(slope)
 
 
-def ridge_dictionary(d: int, size: int, R: float, seed: int) -> list:
-    """Random unit-direction ReLU dictionary on the R-ball."""
+def ridge_dictionary(d: int, size: int, R: float, seed: int) -> tuple:
+    """Random unit-direction ReLU dictionary on the R-ball, as (a, w, b).
+
+    Atom by atom, a, then w, then b are drawn from one generator.
+    """
     rng = np.random.default_rng(seed)
-    neurons = []
-    for _ in range(size):
-        a = rng.normal(size=d)
-        a /= np.linalg.norm(a)
-        w = rng.normal(size=d)
-        w /= np.linalg.norm(w)
-        b = rng.uniform(-R, R)
-        neurons.append(Neuron(w, a, b))
-    return neurons
+    a, w, b = np.empty((size, d)), np.empty((size, d)), np.empty(size)
+    for i in range(size):
+        a[i] = rng.normal(size=d)
+        a[i] /= np.linalg.norm(a[i])
+        w[i] = rng.normal(size=d)
+        w[i] /= np.linalg.norm(w[i])
+        b[i] = rng.uniform(-R, R)
+    return a, w, b
 
 
 def fit_mixture(times, points, U, R: float, dictionary_size: int, seed: int,
@@ -237,48 +243,40 @@ def fit_mixture(times, points, U, R: float, dictionary_size: int, seed: int,
     """Nonnegative least-squares fit of field samples on a ridge dictionary.
 
     ``U[j, i]`` is the field at time ``times[j]`` and point ``points[i]``.
-    Each sample time becomes one mixture cell (boundaries at midpoints).
-    Returns (TimeMixture, max per-cell RMS residual).
+    Each sample time becomes one mixture cell (boundaries at midpoints),
+    with the whole dictionary ``(a, w, b)`` as its atoms and one NNLS mass
+    row per cell.  Returns (TimeMixture, max per-cell RMS residual).
     """
     times = np.asarray(times, dtype=float)
     points = np.atleast_2d(np.asarray(points, dtype=float))
     U = np.asarray(U, dtype=float)
-    d = points.shape[1]
     if dictionary is None:
-        dictionary = ridge_dictionary(d, dictionary_size, R, seed)
+        dictionary = ridge_dictionary(points.shape[1], dictionary_size, R,
+                                      seed)
+    a, w, b = (np.asarray(v, dtype=float) for v in dictionary)
 
     # design matrix: column k stacks w_k relu(a_k . x_i + b_k) over points
-    cols = []
-    for n in dictionary:
-        cols.append(neuron_field(points, n.w, n.a, n.b)[0].ravel())
-    G = np.column_stack(cols)
+    G = (np.maximum(points @ a.T + b, 0.0)[:, None, :]
+         * w.T).reshape(-1, len(b))
+    fits = [scipy.optimize.nnls(G, target.ravel()) for target in U]
+    worst = max(rnorm / np.sqrt(G.shape[0]) for _, rnorm in fits)
 
     mids = (times[:-1] + times[1:]) / 2.0
     grid = np.concatenate([[0.0], mids, [1.0]])
-    cells, worst = [], 0.0
-    for j in range(len(times)):
-        target = U[j].ravel()
-        mass, rnorm = scipy.optimize.nnls(G, target)
-        worst = max(worst, rnorm / np.sqrt(len(target)))
-        cells.append(tuple(BarronAtom(n, float(mk))
-                           for n, mk in zip(dictionary, mass) if mk > 0))
-    mixture = TimeMixture(grid, tuple(cells), R, d)
-    return mixture, worst
+    mass = np.array([x for x, _ in fits]).reshape(len(times), len(b))
+    return TimeMixture(grid, a, w, b, mass, R), worst
 
 
 def builtin_mixture(d: int = 2, R: float = 3.0) -> TimeMixture:
     """Three-atom time-varying mixture on the unit ball used by rate studies."""
-    a1 = Neuron(np.array([0.0, 0.8]), np.array([1.0, 0.0]), 0.3)
-    a2 = Neuron(np.array([0.7, 0.0]), np.array([0.0, 1.0]), 0.4)
-    s = 1.0 / np.sqrt(2.0)
-    a3 = Neuron(np.array([-0.4, -0.4]), np.array([s, s]), 0.2)
     if d != 2:
         raise ValueError("builtin mixture is two-dimensional")
-    grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-    cells = (
-        (BarronAtom(a1, 0.5), BarronAtom(a2, 0.2), BarronAtom(a3, 0.3)),
-        (BarronAtom(a1, 0.2), BarronAtom(a2, 0.5), BarronAtom(a3, 0.2)),
-        (BarronAtom(a1, 0.3), BarronAtom(a2, 0.2), BarronAtom(a3, 0.5)),
-        (BarronAtom(a1, 0.4), BarronAtom(a2, 0.4), BarronAtom(a3, 0.2)),
-    )
-    return TimeMixture(grid, cells, R, 2)
+    s = 1.0 / np.sqrt(2.0)
+    a = [[1.0, 0.0], [0.0, 1.0], [s, s]]
+    w = [[0.0, 0.8], [0.7, 0.0], [-0.4, -0.4]]
+    b = [0.3, 0.4, 0.2]
+    mass = [[0.5, 0.2, 0.3],
+            [0.2, 0.5, 0.2],
+            [0.3, 0.2, 0.5],
+            [0.4, 0.4, 0.2]]
+    return TimeMixture([0.0, 0.25, 0.5, 0.75, 1.0], a, w, b, mass, R)

@@ -21,7 +21,6 @@ from reluflow.gadgets import shear_for_region
 from reluflow.incompressible import CubeGrid, swap_schedule
 from reluflow.kr import GridDensity, kr_map
 from reluflow.maurey import (
-    atom_cost,
     builtin_mixture,
     eval_mixture,
     rate_fit,
@@ -223,9 +222,9 @@ def test_criterion_7_sampling_is_unbiased():
     draws = np.empty((10_000, 10, m.d))
     for s in range(10_000):
         run = sample_schedule(m, N, seed=s)
-        theta = run.neurons[k]
-        act = np.maximum(Z @ theta.a + theta.b, 0.0)
-        draws[s] = run.r[k] * (theta.w / atom_cost(theta, m.R)) * act[:, None]
+        j = run.atom[k]
+        act = np.maximum(Z @ m.a[j] + m.b[j], 0.0)
+        draws[s] = run.r[k] * (m.w[j] / m.costs[j]) * act[:, None]
     mean = draws.mean(axis=0)
     se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
     assert np.all(np.abs(mean - exact) <= 3 * se + 1e-12)

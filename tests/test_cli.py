@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reluflow.cli import main
+from reluflow.maurey import builtin_mixture
 from reluflow.schedule import ControlSchedule, Neuron, Segment
 
 
@@ -77,6 +78,34 @@ class TestDeterminism:
         _, a = run(tmp_path, "maurey", config, seed=1, out_name="a")
         _, b = run(tmp_path, "maurey", config, seed=2, out_name="b")
         assert a != b
+
+
+def builtin_mixture_inline():
+    """The built-in mixture in the config format: per cell, its atoms."""
+    m = builtin_mixture()
+    return {"d": m.d, "R": m.R, "time_grid": m.time_grid.tolist(),
+            "cells": [[{"w": m.w[j].tolist(), "a": m.a[j].tolist(),
+                        "b": float(m.b[j]), "mass": float(m.mass[i, j])}
+                       for j in range(len(m.b))] for i in range(m.n_cells)]}
+
+
+class TestMaureyCommand:
+    def test_inline_mixture_matches_builtin(self, tmp_path):
+        config = {"N": [16, 32, 64, 128], "n_seeds": 2, "n_eval": 8}
+        tables = []
+        for mixture in ("builtin", builtin_mixture_inline()):
+            code, text = run(tmp_path, "maurey", {**config,
+                                                  "mixture": mixture})
+            assert code == 0
+            lines = [l for l in text.splitlines() if not l.startswith("#")]
+            tables.append([l.split(",") for l in lines[1:]])
+        builtin, inline = tables
+        assert len(builtin) == len(inline) == 4 * 2 + 2
+        for row_b, row_i in zip(builtin, inline):
+            assert row_b[:2] == row_i[:2]
+            for vb, vi in zip(row_b[2:], row_i[2:]):
+                if vb:
+                    assert float(vi) == pytest.approx(float(vb), rel=1e-12)
 
 
 class TestKrCommand:
@@ -240,6 +269,29 @@ class TestBadInputs:
     def test_unknown_target(self, tmp_path, capsys):
         err = run_failing(tmp_path, capsys, "realize", {"target": "swirl"})
         assert err.startswith("reluflow: error: unknown target 'swirl'")
+
+    @pytest.mark.parametrize("change,problem", [
+        ({"mass": float("nan")}, "mass must be finite and >= 0"),
+        ({"mass": -0.2}, "mass must be finite and >= 0"),
+        ({"w": [float("nan"), 0.8]}, "w has non-finite entries"),
+        ({"a": [float("inf"), 0.0]}, "a has non-finite entries"),
+        ({"b": float("nan")}, "b must be finite"),
+    ], ids=["nan-mass", "negative-mass", "nan-w", "inf-a", "nan-b"])
+    def test_bad_mixture_atom(self, tmp_path, capsys, change, problem):
+        mixture = builtin_mixture_inline()
+        mixture["cells"][1][0].update(change)
+        err = run_failing(tmp_path, capsys, "maurey", {"mixture": mixture})
+        assert problem in err
+
+    @pytest.mark.parametrize("R", [-3.0, 0.0, float("nan")])
+    def test_bad_mixture_radius(self, tmp_path, capsys, R):
+        mixture = {**builtin_mixture_inline(), "R": R}
+        err = run_failing(tmp_path, capsys, "maurey", {"mixture": mixture})
+        assert "R must be finite and > 0" in err
+
+    def test_unknown_mixture_name(self, tmp_path, capsys):
+        err = run_failing(tmp_path, capsys, "maurey", {"mixture": "custom"})
+        assert "mixture must be \"builtin\" or a mixture object" in err
 
     def test_malformed_config_file(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -272,6 +272,14 @@ class TestActiveRegion:
         assert full.residual == pytest.approx(0.008, rel=1e-9)
         assert boxed.residual == pytest.approx(full.residual, abs=1e-12)
 
+    def test_counts_only_classified_cubes(self):
+        # the [-2, -1]^2 box touches 3 x 3 of the 8 x 8 cubes: only those
+        # are classified, so only those can be reported good
+        grid = CubeGrid(L=2.0, h=0.5, delta=0.1, d=2)
+        boxes = [(np.array([-2.0, -2.0]), np.array([-1.0, -1.0]))]
+        _, report = mp_realize(lambda X: X, grid, active=boxes)
+        assert report.n_good == 9 and report.n_bad == 0
+
     def test_realize_with_active_region(self, rng):
         m = periodic_translation(GRID2)
         boxes = [(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))]

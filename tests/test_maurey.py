@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from reluflow.maurey import (
-    BarronAtom,
     DegenerateMixtureError,
     TimeMixture,
-    atom_cost,
     builtin_mixture,
     eval_mixture,
     fit_mixture,
@@ -15,18 +13,25 @@ from reluflow.maurey import (
     run_errors,
     sample_schedule,
 )
-from reluflow.schedule import Neuron, flow_points
+from reluflow.numerics import neuron_field
+from reluflow.schedule import flow_points
+
+
+def mixture_of_cells(time_grid, cells, R=2.0, d=2):
+    """The mixture whose cells list their atoms as (w, a, b, mass)."""
+    return TimeMixture.from_dict({
+        "d": d, "R": R, "time_grid": list(time_grid),
+        "cells": [[{"w": list(w), "a": list(a), "b": b, "mass": mass}
+                   for w, a, b, mass in cell] for cell in cells]})
 
 
 def single_atom_mixture(w, a, b, mass=1.0, R=2.0):
-    atom = BarronAtom(Neuron(np.asarray(w, float), np.asarray(a, float), b),
-                      mass)
-    return TimeMixture(np.array([0.0, 1.0]), ((atom,),), R, len(w))
+    return mixture_of_cells([0.0, 1.0], [[(w, a, b, mass)]], R, len(w))
 
 
 class TestEvalMixture:
     def test_empty_mixture(self):
-        m = TimeMixture(np.array([0.0, 1.0]), ((),), 2.0, 2)
+        m = mixture_of_cells([0.0, 1.0], [[]])
         field, div = eval_mixture(m, 0.5, np.array([[1.0, 1.0]]))
         np.testing.assert_array_equal(field, 0.0)
         np.testing.assert_array_equal(div, 0.0)
@@ -38,22 +43,18 @@ class TestEvalMixture:
         np.testing.assert_allclose(div, [0.0])
 
     def test_opposite_atoms_cancel(self, rng):
-        n = Neuron(np.array([0.5, 0.2]), np.array([1.0, 1.0]), 0.3)
-        m = TimeMixture(np.array([0.0, 1.0]),
-                        ((BarronAtom(n, 1.0),
-                          BarronAtom(Neuron(-n.w, n.a, n.b), 1.0)),),
-                        2.0, 2)
+        m = mixture_of_cells([0.0, 1.0], [[([0.5, 0.2], [1.0, 1.0], 0.3, 1.0),
+                                           ([-0.5, -0.2], [1.0, 1.0], 0.3,
+                                            1.0)]])
         X = rng.uniform(-1, 1, size=(50, 2))
         field, div = eval_mixture(m, 0.5, X)
         np.testing.assert_allclose(field, 0.0, atol=1e-15)
         np.testing.assert_allclose(div, 0.0, atol=1e-15)
 
     def test_time_cells_switch(self):
-        n1 = Neuron(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 1.0)
-        n2 = Neuron(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 1.0)
-        m = TimeMixture(np.array([0.0, 0.5, 1.0]),
-                        ((BarronAtom(n1, 1.0),), (BarronAtom(n2, 1.0),)),
-                        2.0, 2)
+        m = mixture_of_cells([0.0, 0.5, 1.0],
+                             [[([1.0, 0.0], [0.0, 1.0], 1.0, 1.0)],
+                              [([0.0, 1.0], [1.0, 0.0], 1.0, 1.0)]])
         f0, _ = eval_mixture(m, 0.25, np.zeros((1, 2)))
         f1, _ = eval_mixture(m, 0.75, np.zeros((1, 2)))
         np.testing.assert_allclose(f0, [[1.0, 0.0]])
@@ -69,7 +70,7 @@ class TestSampleSchedule:
                    for s in run.schedule.segments)
         # w' = N r_k w / c reproduces mass * w exactly for a constant mixture
         np.testing.assert_allclose(
-            run.weights, np.tile(0.8 * np.array([0.0, 0.5]), (16, 1)),
+            run.schedule.w, np.tile(0.8 * np.array([0.0, 0.5]), (16, 1)),
             atol=1e-12)
         X = rng.uniform(-0.5, 0.5, size=(20, 2))
         e, delta = run_errors(run, m, X)
@@ -78,8 +79,8 @@ class TestSampleSchedule:
     def test_weight_identity(self):
         m = builtin_mixture()
         run = sample_schedule(m, 32, seed=7)
-        for k, (theta, w_prime) in enumerate(zip(run.neurons, run.weights)):
-            expected = 32 * run.r[k] * theta.w / atom_cost(theta, m.R)
+        for k, (j, w_prime) in enumerate(zip(run.atom, run.schedule.w)):
+            expected = 32 * run.r[k] * m.w[j] / m.costs[j]
             np.testing.assert_allclose(w_prime, expected, atol=1e-13)
 
     def test_seed_reproducible(self):
@@ -94,16 +95,16 @@ class TestSampleSchedule:
         # one Generator.choice per interval over the atoms with positive
         # weight draws the same atoms as the batched search
         rng = np.random.default_rng(0)
-        atoms = [BarronAtom(n, rng.choice([0.0, rng.uniform(0.1, 2.0)]))
-                 for n in ridge_dictionary(2, 24, 2.0, seed=1)]
-        cells = tuple(tuple(atoms[rng.integers(24)] for _ in range(count))
-                      for count in (3, 1, 8, 5, 2))
-        m = TimeMixture(np.array([0.0, 0.13, 0.4, 0.41, 0.8, 1.0]), cells,
-                        2.0, 2)
-        flat = [atom for cell in m.cells for atom in cell]
-        cell_of = [i for i, cell in enumerate(m.cells) for _ in cell]
-        costs = np.array([atom.cost(m.R) for atom in flat])
-        masses = np.array([atom.mass for atom in flat])
+        da, dw, db = ridge_dictionary(2, 24, 2.0, seed=1)
+        atoms = [(dw[i], da[i], db[i],
+                  rng.choice([0.0, rng.uniform(0.1, 2.0)])) for i in range(24)]
+        cells = [[atoms[rng.integers(24)] for _ in range(count)]
+                 for count in (3, 1, 8, 5, 2)]
+        m = mixture_of_cells([0.0, 0.13, 0.4, 0.41, 0.8, 1.0], cells)
+        # from_dict gives each listed atom its own row, in cell order
+        cell_of = [i for i, cell in enumerate(cells) for _ in cell]
+        costs = m.costs
+        masses = m.mass[cell_of, np.arange(len(cell_of))]
         for N in (7, 37, 200):
             k = np.arange(N)
             overlap, r = m.overlaps(k / N, (k + 1) / N)
@@ -111,21 +112,22 @@ class TestSampleSchedule:
             for seed in range(20):
                 draw = np.random.default_rng(seed)
                 a, w, b = np.zeros((N, 2)), np.zeros((N, 2)), np.zeros(N)
+                drawn = np.full(N, -1)
                 for k in np.flatnonzero(r != 0.0).tolist():
                     cand = np.flatnonzero(P[k] > 0)
                     p = P[k, cand]
                     j = cand[draw.choice(len(cand), p=p / sum(p.tolist()))]
-                    n = flat[j].neuron
-                    a[k], b[k] = n.a, n.b
-                    w[k] = N * r[k] * n.w / costs[j]
+                    a[k], b[k] = m.a[j], m.b[j]
+                    w[k] = N * r[k] * m.w[j] / costs[j]
+                    drawn[k] = j
                 run = sample_schedule(m, N, seed)
                 np.testing.assert_array_equal(run.schedule.a, a)
                 np.testing.assert_array_equal(run.schedule.w, w)
                 np.testing.assert_array_equal(run.schedule.b, b)
-                np.testing.assert_array_equal(run.weights, w)
+                np.testing.assert_array_equal(run.atom, drawn)
 
     def test_degenerate_mixture(self):
-        m = TimeMixture(np.array([0.0, 1.0]), ((),), 2.0, 2)
+        m = mixture_of_cells([0.0, 1.0], [[]])
         with pytest.raises(DegenerateMixtureError):
             sample_schedule(m, 8, seed=0)
 
@@ -146,9 +148,9 @@ class TestSampleSchedule:
         draws = []
         for seed in range(2000):
             run = sample_schedule(m, N, seed=seed)
-            theta = run.neurons[k]
-            g = (theta.w / atom_cost(theta, m.R)
-                 * max(float(z[0] @ theta.a) + theta.b, 0.0))
+            j = run.atom[k]
+            g = (m.w[j] / m.costs[j]
+                 * max(float(z[0] @ m.a[j]) + m.b[j], 0.0))
             draws.append(run.r[k] * g)
         draws = np.array(draws)
         mean = draws.mean(axis=0)
@@ -159,9 +161,7 @@ class TestSampleSchedule:
 class TestRunErrors:
     def test_zero_field(self, rng):
         # atom inactive on the whole working region: field is zero there
-        m = TimeMixture(np.array([0.0, 1.0]),
-                        ((BarronAtom(Neuron([1.0, 0.0], [1.0, 0.0], -10.0), 1.0),),),
-                        2.0, 2)
+        m = single_atom_mixture([1.0, 0.0], [1.0, 0.0], -10.0, mass=1.0)
         run = sample_schedule(m, 8, seed=0)
         X = rng.uniform(-1, 1, size=(10, 2))
         e, delta = run_errors(run, m, X)
@@ -230,11 +230,11 @@ class TestFitMixture:
     def test_recover_single_dictionary_atom(self):
         R = 2.0
         dictionary = ridge_dictionary(2, 20, R, seed=4)
-        target = dictionary[7]
+        a, w, b = dictionary
         points = np.random.default_rng(0).uniform(-1, 1, size=(60, 2))
         times = np.array([0.25, 0.75])
-        g = np.maximum(points @ target.a + target.b, 0.0)
-        U = np.stack([np.outer(g, target.w) * 0.9] * 2)
+        g = np.maximum(points @ a[7] + b[7], 0.0)
+        U = np.stack([np.outer(g, w[7]) * 0.9] * 2)
         m, resid = fit_mixture(times, points, U, R, 20, seed=4,
                                dictionary=dictionary)
         assert resid <= 1e-8
@@ -248,9 +248,9 @@ class TestFitMixture:
         points = rng.uniform(-1, 1, size=(80, 2))
         masses = {3: 0.5, 11: 1.2, 20: 0.25}
         U0 = np.zeros((len(points), 2))
+        a, w, b = dictionary
         for k, mk in masses.items():
-            n = dictionary[k]
-            U0 += mk * np.outer(np.maximum(points @ n.a + n.b, 0.0), n.w)
+            U0 += mk * np.outer(np.maximum(points @ a[k] + b[k], 0.0), w[k])
         m, resid = fit_mixture(np.array([0.5]), points, U0[None], R, 25,
                                seed=9, dictionary=dictionary)
         assert resid <= 1e-8
@@ -266,3 +266,80 @@ class TestFitMixture:
             _, r = fit_mixture(times, points, U, 2.0, size, seed=3)
             resids.append(r)
         assert resids[2] < resids[1] < resids[0]
+
+
+def random_mixture_dict(rng, counts, R=2.0, d=2):
+    """A from_dict mixture with the given atom counts per cell (0 allowed),
+    unit-direction atoms and about a third of the masses zero."""
+    t = np.concatenate([[0.0], np.sort(rng.uniform(0, 1, len(counts) - 1)),
+                        [1.0]])
+    cells = []
+    for count in counts:
+        a, w, b = ridge_dictionary(d, count, R, seed=int(rng.integers(1000)))
+        mass = np.where(rng.random(count) < 0.3, 0.0,
+                        rng.uniform(0.1, 2.0, count))
+        cells.append([{"w": w[i].tolist(), "a": a[i].tolist(),
+                       "b": float(b[i]), "mass": float(mass[i])}
+                      for i in range(count)])
+    return {"d": d, "R": R, "time_grid": t.tolist(), "cells": cells}
+
+
+class TestTimeMixture:
+    def test_from_dict_rows_and_block_diagonal_mass(self):
+        data = random_mixture_dict(np.random.default_rng(3), (2, 0, 3))
+        m = TimeMixture.from_dict(data)
+        assert m.d == 2 and m.n_cells == 3 and m.mass.shape == (3, 5)
+        atoms = [atom for cell in data["cells"] for atom in cell]
+        np.testing.assert_array_equal(m.a, [atom["a"] for atom in atoms])
+        np.testing.assert_array_equal(m.w, [atom["w"] for atom in atoms])
+        np.testing.assert_array_equal(m.b, [atom["b"] for atom in atoms])
+        expected = np.zeros((3, 5))
+        expected[0, :2] = [atom["mass"] for atom in atoms[:2]]
+        expected[2, 2:] = [atom["mass"] for atom in atoms[2:]]
+        np.testing.assert_array_equal(m.mass, expected)
+        # the cost |w| (R |a| + |b|) and the rate sum_j mass_j c_j per cell
+        costs = [np.linalg.norm(atom["w"])
+                 * (m.R * np.linalg.norm(atom["a"]) + abs(atom["b"]))
+                 for atom in atoms]
+        np.testing.assert_allclose(m.costs, costs, rtol=1e-15)
+        np.testing.assert_allclose(m.rates, expected @ costs, rtol=1e-15)
+
+    def test_arrays_read_only(self):
+        m = builtin_mixture()
+        for v in (m.time_grid, m.a, m.w, m.b, m.mass, m.costs, m.rates):
+            with pytest.raises(ValueError):
+                v[0] = 0.0
+
+    def test_shape_errors(self):
+        data = random_mixture_dict(np.random.default_rng(6), (2, 1))
+        data["d"] = 3
+        with pytest.raises(ValueError, match="declares d = 3"):
+            TimeMixture.from_dict(data)
+        data = random_mixture_dict(np.random.default_rng(6), (2, 1))
+        data["cells"].append([])
+        with pytest.raises(ValueError, match="one mass row"):
+            TimeMixture.from_dict(data)
+
+
+class TestEvalMixtureAgainstAtoms:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_atom_neuron_field(self, seed):
+        # empty cells and zero masses included
+        rng = np.random.default_rng(seed)
+        data = random_mixture_dict(rng, rng.integers(0, 7, size=5))
+        m = TimeMixture.from_dict(data)
+        X = rng.uniform(-1.5, 1.5, size=(40, 2))
+        for i, cell in enumerate(data["cells"]):
+            V, div = np.zeros_like(X), np.zeros(len(X))
+            for atom in cell:
+                f, g = neuron_field(X, np.array(atom["w"]),
+                                    np.array(atom["a"]), atom["b"])
+                V += atom["mass"] * f
+                div += atom["mass"] * g
+            t = 0.5 * (m.time_grid[i] + m.time_grid[i + 1])
+            field, field_div = eval_mixture(m, t, X)
+            # within 1e-15 of the largest entry (and of 1)
+            for got, want in ((field, V), (field_div, div)):
+                scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-15 * scale)
