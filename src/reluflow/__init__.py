@@ -12,32 +12,27 @@ diffeomorphism and its pushforward measure:
   band's piecewise-linear map;
 * sampling route: drawing one neuron per time slice from a cost-weighted
   atom mixture, with O(N^{-1/2}) empirical error decay in the slice count.
+
+A ControlSchedule holds the control as four read-only arrays, one row
+(w, a, b, duration) per constant piece.  ``flow_points`` flows an (N, d)
+batch of points through it with the compiled kernel, ``flow_segments``
+with the per-segment reference kernel and ``oracle_points`` with RK4.
 """
 
 from reluflow.schedule import (
     ControlSchedule,
-    FlowState,
-    Neuron,
-    Segment,
     compile_schedule,
     flow_points,
-    flow_schedule,
-    flow_segment,
     flow_segments,
     invert_schedule,
-    oracle_flow,
+    oracle_points,
 )
 
 __all__ = [
-    "Neuron",
-    "Segment",
     "ControlSchedule",
-    "FlowState",
-    "flow_segment",
-    "flow_schedule",
     "flow_points",
     "flow_segments",
     "compile_schedule",
     "invert_schedule",
-    "oracle_flow",
+    "oracle_points",
 ]

@@ -76,6 +76,8 @@ def _config_echo(defaults: dict, config: dict, seed: int) -> dict:
 def _load_schedule(spec) -> ControlSchedule:
     if isinstance(spec, dict):
         return ControlSchedule.from_dict(spec)
+    if not isinstance(spec, str):
+        raise ValueError(f"schedule must be a path or an object; got {spec!r}")
     return ControlSchedule.load(spec)
 
 

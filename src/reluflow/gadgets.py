@@ -17,8 +17,7 @@ Five constructors, each with an exact closed-form flow:
   coordinate it never writes, so it is exact wherever the ramps are empty.
 * ``slope_change_stages`` -- one segment per stage, stage i realizing
   x -> c_i + ratio_i * (x - c_i) on {x >= c_i} over its own duration, the
-  basic steps for monotone piecewise-affine profiles; ``slope_change_stage``
-  is the single-stage case.
+  basic steps for monotone piecewise-affine profiles.
 
 Gadgets accept an ambient dimension ``d`` and an ``axis`` so 1-d
 constructions lift to R^d acting on a single coordinate.
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from reluflow.schedule import ControlSchedule, Segment
+from reluflow.schedule import ControlSchedule
 
 
 def _aligned(d: int, w_axis: int, w, a_axis: int, a, b,
@@ -144,9 +143,3 @@ def slope_change_stages(c, ratio, h, d: int = 1,
     if np.any(h <= 0):
         raise ValueError("h must be positive")
     return _aligned(d, axis, np.log(ratio) / h, axis, np.ones_like(c), -c, h)
-
-
-def slope_change_stage(c: float, ratio: float, h: float,
-                       d: int = 1, axis: int = 0) -> Segment:
-    """The segment of the single stage (c, ratio, h); see slope_change_stages."""
-    return slope_change_stages([c], [ratio], [h], d, axis).segments[0]

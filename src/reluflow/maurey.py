@@ -25,7 +25,7 @@ import numpy as np
 import scipy.optimize
 
 from reluflow.numerics import rk4
-from reluflow.schedule import ControlSchedule, flow_points
+from reluflow.schedule import ControlSchedule, flow_points, json_rows
 
 
 class DegenerateMixtureError(ValueError):
@@ -115,16 +115,19 @@ class TimeMixture:
     def from_dict(cls, data: dict) -> "TimeMixture":
         """The mixture of {"d", "R", "time_grid", "cells"}, where each cell
         lists its atoms {"w", "a", "b", "mass"}: one atom row per listed
-        atom, with its mass in its own cell only."""
+        atom, with its mass in its own cell only.  A wrong structure raises
+        ValueError naming the field."""
         d = int(data["d"])
-        atoms = [atom for cell in data["cells"] for atom in cell]
-        cell_of = [i for i, cell in enumerate(data["cells"]) for _ in cell]
+        cells = [json_rows(cell, f"cells[{i}]", ("a", "w", "b", "mass"))
+                 for i, cell in enumerate(json_rows(data["cells"], "cells"))]
+        atoms = [atom for cell in cells for atom in cell]
+        cell_of = [i for i, cell in enumerate(cells) for _ in cell]
         a, w = (np.array([atom[key] for atom in atoms], dtype=float)
                 if atoms else np.zeros((0, d)) for key in ("a", "w"))
         if a.shape != (len(atoms), d) or w.shape != a.shape:
             raise ValueError(f"mixture declares d = {data['d']} but its "
                              "atoms' a and w are not all of that dimension")
-        mass = np.zeros((len(data["cells"]), len(atoms)))
+        mass = np.zeros((len(cells), len(atoms)))
         mass[cell_of, np.arange(len(atoms))] = [atom["mass"] for atom in atoms]
         return cls(data["time_grid"], a, w,
                    np.array([atom["b"] for atom in atoms], dtype=float),

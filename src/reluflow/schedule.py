@@ -14,8 +14,9 @@ constant along the trajectory within a segment.
 
 A ControlSchedule stores the control as four read-only arrays, one row per
 segment: a and w of shape (n, d), b and duration of shape (n,).  They are
-checked once, at construction; ``segments`` hands the rows back as Segment
-and Neuron objects without checking them again.
+checked once, at construction (``from_arrays``, or ``from_dict`` for the
+JSON form), and are the only representation of a schedule; ``segments``
+remains as a tuple of Segment rows for readers of durations.
 
 ``flow_segments`` applies the closed forms one segment at a time; it is
 the reference kernel that the tests compare the compiled form with.
@@ -29,7 +30,8 @@ guard stay on the per-segment kernel, in order.  The two kernels agree up
 to rounding; at a kink, where the log-det is undefined, they may take
 opposite one-sided values.
 
-All flow operations are vectorized over arrays of points with shape (N, d).
+All flow operations are vectorized over arrays of points with shape (N, d);
+a single point x is the batch x[None].
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,55 +53,27 @@ class FlowOverflowError(OverflowError):
     """Raised when a segment would require evaluating exp beyond range."""
 
 
-def _as_vector(v, name: str) -> np.ndarray:
-    arr = np.asarray(v, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite entries")
-    return arr
+class Segment(NamedTuple):
+    """One row of a schedule: the neuron (w, a, b) held for ``duration``."""
 
-
-@dataclass(frozen=True)
-class Neuron:
-    """One ReLU neuron theta = (w, a, b): field v(x) = w * relu(a.x + b)."""
-
-    w: np.ndarray
     a: np.ndarray
+    w: np.ndarray
     b: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", _as_vector(self.w, "w"))
-        object.__setattr__(self, "a", _as_vector(self.a, "a"))
-        object.__setattr__(self, "b", float(self.b))
-        if self.w.shape != self.a.shape:
-            raise ValueError("w and a must have the same dimension")
-        if not np.isfinite(self.b):
-            raise ValueError("b must be finite")
-
-    @property
-    def d(self) -> int:
-        return self.w.shape[0]
-
-
-@dataclass(frozen=True)
-class Segment:
-    """A neuron held constant for a nonnegative duration."""
-
-    neuron: Neuron
     duration: float
 
-    def __post_init__(self):
-        object.__setattr__(self, "duration", float(self.duration))
-        if not np.isfinite(self.duration) or self.duration < 0:
-            raise ValueError("duration must be finite and >= 0")
 
-
-def _unchecked(cls, **fields):
-    """An instance of a frozen dataclass holding already-checked fields."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
+def json_rows(rows, where: str, keys=()) -> list:
+    """``rows``, checked to be a JSON list whose entries are objects holding
+    ``keys``; the ValueError for a wrong structure names ``where``."""
+    if not isinstance(rows, list):
+        raise ValueError(f'"{where}" must be a list')
+    for i, row in enumerate(rows):
+        if keys and not isinstance(row, dict):
+            raise ValueError(f"{where}[{i}] must be an object")
+        for key in keys:
+            if key not in row:
+                raise ValueError(f"{where}[{i}]: missing key {key!r}")
+    return rows
 
 
 def _stack_rows(rows) -> tuple:
@@ -118,16 +93,16 @@ def _stack_rows(rows) -> tuple:
 class ControlSchedule:
     """An ordered list of segments; the control is constant on each.
 
-    Built from a tuple of Segments or with ``from_arrays``; either way the
-    arrays a, w, b and duration are copied, checked once and made read-only,
-    so the compiled form cached on the schedule cannot go stale.
+    ``ControlSchedule()`` is the empty schedule; ``from_arrays`` builds any
+    other.  The arrays a, w, b and duration are copied, checked once and
+    made read-only, so the compiled form cached on the schedule cannot go
+    stale.
     """
 
     __slots__ = ("a", "w", "b", "duration", "_compiled", "__weakref__")
 
-    def __init__(self, segments=()):
-        self._store(*_stack_rows((seg.neuron.a, seg.neuron.w, seg.neuron.b,
-                                  seg.duration) for seg in segments))
+    def __init__(self):
+        self._store(*_stack_rows(()))
 
     @classmethod
     def from_arrays(cls, a, w, b, duration) -> "ControlSchedule":
@@ -158,13 +133,10 @@ class ControlSchedule:
 
     @property
     def segments(self) -> tuple:
-        """The rows as Segment objects, built on each access (unchecked:
-        the arrays were checked once, at construction)."""
-        return tuple(
-            _unchecked(Segment, neuron=_unchecked(Neuron, w=w, a=a, b=b),
-                       duration=t)
-            for w, a, b, t in zip(self.w, self.a, self.b.tolist(),
-                                  self.duration.tolist()))
+        """The rows as Segment tuples, built on each access; a and w are
+        read-only views of the schedule's arrays."""
+        return tuple(map(Segment, self.a, self.w, self.b.tolist(),
+                         self.duration.tolist()))
 
     @property
     def d(self) -> int | None:
@@ -208,9 +180,14 @@ class ControlSchedule:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ControlSchedule":
+        """The schedule of {"d", "segments"}, where each segment is an
+        object {"w", "a", "b", "duration"} ("d" is optional)."""
+        if not isinstance(data, dict):
+            raise ValueError("a schedule must be a JSON object")
+        rows = json_rows(data["segments"], "segments",
+                         ("a", "w", "b", "duration"))
         schedule = cls.from_arrays(*_stack_rows(
-            (row["a"], row["w"], row["b"], row["duration"])
-            for row in data["segments"]))
+            (row["a"], row["w"], row["b"], row["duration"]) for row in rows))
         d = schedule.d if schedule.d is not None else 0
         if "d" in data and data["d"] != d:
             raise ValueError(f"schedule declares d = {data['d']} but its "
@@ -225,20 +202,6 @@ class ControlSchedule:
     def load(cls, path) -> "ControlSchedule":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-@dataclass(frozen=True)
-class FlowState:
-    """A point plus the accumulated log det of the flow's spatial gradient."""
-
-    x: np.ndarray
-    logdet: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", _as_vector(self.x, "x"))
-        object.__setattr__(self, "logdet", float(self.logdet))
-        if not np.isfinite(self.logdet):
-            raise ValueError("logdet must be finite")
 
 
 # --------------------------------------------------------------------------
@@ -572,20 +535,6 @@ def flow_segments(X: np.ndarray, schedule: "ControlSchedule"):
     return X, logdet
 
 
-def flow_segment(state: FlowState, neuron: Neuron, duration: float) -> FlowState:
-    """Exact flow of one segment applied to a single FlowState."""
-    if state.x.shape[0] != neuron.d:
-        raise ValueError("neuron dimension does not match state dimension")
-    X, ld = flow_points(state.x, ControlSchedule((Segment(neuron, duration),)))
-    return FlowState(X[0], state.logdet + float(ld[0]))
-
-
-def flow_schedule(x, schedule: ControlSchedule) -> FlowState:
-    """Left-to-right composition of segment flows starting from logdet = 0."""
-    X, ld = flow_points(np.asarray(x, dtype=float)[None, :], schedule)
-    return FlowState(X[0], float(ld[0]))
-
-
 def invert_schedule(schedule: ControlSchedule) -> ControlSchedule:
     """Time reversal: segments reversed, each outer weight negated.
 
@@ -624,9 +573,3 @@ def oracle_points(X: np.ndarray, schedule: ControlSchedule, step: float):
         X, logdet = rk4(lambda Y: neuron_field(Y, w, a, b), X, logdet,
                         duration, step)
     return X, logdet
-
-
-def oracle_flow(x, schedule: ControlSchedule, step: float) -> FlowState:
-    """Single-point RK4 reference flow (independent of the closed form)."""
-    X, ld = oracle_points(np.asarray(x, dtype=float)[None, :], schedule, step)
-    return FlowState(X[0], float(ld[0]))

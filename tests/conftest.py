@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
 
-from reluflow.schedule import ControlSchedule, Neuron, Segment
+from reluflow.schedule import ControlSchedule
+
+
+def schedule_of(*rows):
+    """The schedule with one segment per row (w, a, b, duration)."""
+    if not rows:
+        return ControlSchedule()
+    w, a, b, duration = zip(*rows)
+    return ControlSchedule.from_arrays(a, w, b, duration)
 
 
 def random_schedule(rng, d, n_segments=5, scale=2.0, max_duration=1.0):
     """Random schedule with entries in [-scale, scale], durations <= max_duration."""
-    segs = []
+    rows = []
     for _ in range(n_segments):
         w = rng.uniform(-scale, scale, size=d)
         a = rng.uniform(-scale, scale, size=d)
         b = rng.uniform(-scale, scale)
-        segs.append(Segment(Neuron(w, a, b), rng.uniform(0, max_duration)))
-    return ControlSchedule(tuple(segs))
+        rows.append((w, a, b, rng.uniform(0, max_duration)))
+    return schedule_of(*rows)
 
 
 @pytest.fixture

@@ -37,22 +37,18 @@ from reluflow.metrics import (
     tv_distance,
 )
 from reluflow.pipeline import realize_target
-from reluflow.schedule import (
-    ControlSchedule,
-    Neuron,
-    Segment,
-    flow_points,
-)
+from reluflow.schedule import flow_points
 from reluflow.targets import CATALOG, get_target
+from tests.conftest import schedule_of
 
 
 def _random_schedule(rng, d, n_segments=3):
-    segments = []
+    rows = []
     for _ in range(n_segments):
-        neuron = Neuron(rng.normal(size=d), rng.normal(size=d),
-                        float(rng.uniform(-1, 1)))
-        segments.append(Segment(neuron, float(rng.uniform(0.1, 0.4))))
-    return ControlSchedule(tuple(segments))
+        w, a = rng.normal(size=d), rng.normal(size=d)
+        rows.append((w, a, float(rng.uniform(-1, 1)),
+                     float(rng.uniform(0.1, 0.4))))
+    return schedule_of(*rows)
 
 
 def test_criterion_1_closed_form_flow_matches_rk4():

@@ -5,7 +5,8 @@ import pytest
 
 from reluflow.cli import main
 from reluflow.maurey import builtin_mixture
-from reluflow.schedule import ControlSchedule, Neuron, Segment
+from reluflow.schedule import ControlSchedule
+from tests.conftest import schedule_of
 
 
 def write_config(tmp_path, name, obj):
@@ -215,9 +216,10 @@ class TestBadInputs:
         (json.dumps({"segments": [
             {"w": [[1.0, 0.0]], "a": [[0.0, 1.0]], "b": 0.0,
              "duration": 1.0}]}), "1-d"),
+        ("[1.0, 2.0]", "a schedule must be a JSON object"),
     ], ids=["malformed-json", "wrong-d", "negative-duration", "nan-weight",
             "a-w-mismatch", "mixed-dimensions", "missing-duration",
-            "matrix-weight"])
+            "matrix-weight", "not-an-object"])
     def test_bad_schedule_file(self, tmp_path, capsys, verb, content,
                                problem):
         path = tmp_path / "bad.schedule.json"
@@ -228,8 +230,7 @@ class TestBadInputs:
     @pytest.mark.parametrize("substeps", [0, -2])
     def test_bad_substeps(self, tmp_path, capsys, substeps):
         path = tmp_path / "dil.schedule.json"
-        ControlSchedule((Segment(Neuron([1.0], [1.0], 0.0), 1.0),)).save(
-            str(path))
+        schedule_of(([1.0], [1.0], 0.0, 1.0)).save(str(path))
         err = run_failing(tmp_path, capsys, "simulate",
                           {"schedule": str(path), "points": [[1.0]],
                            "substeps": substeps})
@@ -251,8 +252,7 @@ class TestBadInputs:
 
     def test_overflowing_schedule(self, tmp_path, capsys):
         path = tmp_path / "big.schedule.json"
-        ControlSchedule((Segment(Neuron([1000.0], [1.0], 0.0), 1.0),)).save(
-            str(path))
+        schedule_of(([1000.0], [1.0], 0.0, 1.0)).save(str(path))
         err = run_failing(tmp_path, capsys, "simulate",
                           {"schedule": str(path), "points": [[1.0]],
                            "substeps": 1})
@@ -288,6 +288,29 @@ class TestBadInputs:
         mixture = {**builtin_mixture_inline(), "R": R}
         err = run_failing(tmp_path, capsys, "maurey", {"mixture": mixture})
         assert "R must be finite and > 0" in err
+
+    @pytest.mark.parametrize("verb,config,problem", [
+        ("simulate", {"schedule": {"d": 1, "segments": 5}},
+         '"segments" must be a list'),
+        ("simulate", {"schedule": {"segments": [
+            {"w": [1.0], "a": [1.0], "b": 0.0}]}},
+         "segments[0]: missing key 'duration'"),
+        ("evaluate", {"schedule": {"segments": [5]}},
+         "segments[0] must be an object"),
+        ("simulate", {"schedule": 5}, "schedule must be a path or an object"),
+        ("maurey", {"mixture": {**builtin_mixture_inline(), "cells": 5}},
+         '"cells" must be a list'),
+        ("maurey", {"mixture": {**builtin_mixture_inline(),
+                                "cells": [[{"w": [1.0, 0.0], "a": [0.0, 1.0],
+                                            "b": 0.0}]]}},
+         "cells[0][0]: missing key 'mass'"),
+    ], ids=["segments-not-list", "segment-without-duration",
+            "segment-not-object", "schedule-number",
+            "cells-not-list", "atom-without-mass"])
+    def test_bad_json_structure(self, tmp_path, capsys, verb, config,
+                                problem):
+        err = run_failing(tmp_path, capsys, verb, config)
+        assert problem in err
 
     def test_unknown_mixture_name(self, tmp_path, capsys):
         err = run_failing(tmp_path, capsys, "maurey", {"mixture": "custom"})

@@ -5,53 +5,55 @@ from reluflow.gadgets import (
     dilation_1d,
     shear_for_region,
     shear_translation,
-    slope_change_stage,
+    slope_change_stages,
     staircase,
     translation_gadget,
 )
-from reluflow.schedule import ControlSchedule, flow_points, flow_schedule
+from reluflow.schedule import ControlSchedule, flow_points
 
 
 def flow1(x, sched):
-    return flow_schedule(np.atleast_1d(np.asarray(x, dtype=float)), sched)
+    """The position of the single point x after the schedule."""
+    X, _ = flow_points(np.atleast_1d(np.asarray(x, dtype=float))[None], sched)
+    return X[0]
 
 
 class TestDilation1d:
     def test_doubling(self):
         sched = dilation_1d(1.0, 0.0, +1, np.log(2))
-        assert flow1(1.0, sched).x[0] == pytest.approx(2.0, abs=1e-14)
-        assert flow1(-1.0, sched).x[0] == -1.0
+        assert flow1(1.0, sched)[0] == pytest.approx(2.0, abs=1e-14)
+        assert flow1(-1.0, sched)[0] == -1.0
 
     def test_zero_duration_identity(self):
         sched = dilation_1d(2.0, 0.5, +1, 0.0)
-        assert flow1(3.0, sched).x[0] == 3.0
+        assert flow1(3.0, sched)[0] == 3.0
 
     def test_contraction_about_center(self):
         # exp(-ln 2)(3-1)+1 = 2
         sched = dilation_1d(-np.log(2), 1.0, +1, 1.0)
-        assert flow1(3.0, sched).x[0] == pytest.approx(2.0, abs=1e-14)
+        assert flow1(3.0, sched)[0] == pytest.approx(2.0, abs=1e-14)
 
     def test_mirror_sign(self):
         # sign=-1 dilates the half-line below b and fixes points above
         sched = dilation_1d(np.log(2), 1.0, -1, 1.0)
-        assert flow1(0.0, sched).x[0] == pytest.approx(-1.0, abs=1e-14)
-        assert flow1(2.0, sched).x[0] == 2.0
+        assert flow1(0.0, sched)[0] == pytest.approx(-1.0, abs=1e-14)
+        assert flow1(2.0, sched)[0] == 2.0
 
 
 class TestTranslationGadget:
     def test_basic_regions(self):
         sched = translation_gadget(c=0.0, h=1.0, tau=1.0, T=1.0)
-        assert flow1(2.0, sched).x[0] == pytest.approx(3.0, abs=1e-12)
-        assert flow1(-0.5, sched).x[0] == -0.5
+        assert flow1(2.0, sched)[0] == pytest.approx(3.0, abs=1e-12)
+        assert flow1(-0.5, sched)[0] == -0.5
 
     def test_tau_zero_identity(self):
         sched = translation_gadget(0.0, 1.0, 0.0, 1.0)
         for x in (-1.0, 0.5, 2.0):
-            assert flow1(x, sched).x[0] == x
+            assert flow1(x, sched)[0] == x
 
     def test_composed_stages(self):
         sched = translation_gadget(c=1.0, h=0.5, tau=2.0, T=1.0)
-        assert flow1(1.5, sched).x[0] == pytest.approx(3.5, abs=1e-12)
+        assert flow1(1.5, sched)[0] == pytest.approx(3.5, abs=1e-12)
 
     def test_region_exactness_and_logdet(self, rng):
         sched = translation_gadget(c=-0.5, h=0.25, tau=1.5, T=2.0)
@@ -65,9 +67,8 @@ class TestTranslationGadget:
         c, h, tau, T = 0.0, 1.0, 1.0, 1.0
         sched = translation_gadget(c, h, tau, T)
         bound = (1.0 / (T / 2)) * np.log(1 + tau / h)
-        for seg in sched.segments:
-            assert np.linalg.norm(seg.neuron.w) <= bound + 1e-12
-            assert abs(seg.neuron.b) <= c + tau + h + 1e-12
+        assert np.all(np.linalg.norm(sched.w, axis=1) <= bound + 1e-12)
+        assert np.all(np.abs(sched.b) <= c + tau + h + 1e-12)
 
     def test_invalid_h(self):
         with pytest.raises(ValueError):
@@ -75,40 +76,40 @@ class TestTranslationGadget:
 
     def test_lifted_axis(self):
         sched = translation_gadget(0.0, 1.0, 1.0, 1.0, d=3, axis=2)
-        out = flow_schedule(np.array([5.0, -5.0, 2.0]), sched)
-        np.testing.assert_allclose(out.x, [5.0, -5.0, 3.0], atol=1e-12)
+        out = flow1([5.0, -5.0, 2.0], sched)
+        np.testing.assert_allclose(out, [5.0, -5.0, 3.0], atol=1e-12)
 
 
 class TestShearTranslation:
     def test_regions(self):
         sched = shear_translation(k=0, l=1, a_sign=+1, b=0.0, h=1.0, tau=2.0, d=2)
-        out = flow_schedule(np.array([1.5, 0.0]), sched)
-        np.testing.assert_allclose(out.x, [1.5, 2.0], atol=1e-12)
-        out = flow_schedule(np.array([-0.5, 0.0]), sched)
-        np.testing.assert_allclose(out.x, [-0.5, 0.0])
+        out = flow1([1.5, 0.0], sched)
+        np.testing.assert_allclose(out, [1.5, 2.0], atol=1e-12)
+        out = flow1([-0.5, 0.0], sched)
+        np.testing.assert_allclose(out, [-0.5, 0.0])
 
     def test_middle_strip(self):
         sched = shear_translation(0, 1, +1, 0.0, 1.0, 2.0, d=2)
-        out = flow_schedule(np.array([0.5, 0.0]), sched)
-        np.testing.assert_allclose(out.x, [0.5, 1.0], atol=1e-12)
+        out = flow1([0.5, 0.0], sched)
+        np.testing.assert_allclose(out, [0.5, 1.0], atol=1e-12)
 
     def test_tau_zero_identity(self):
         sched = shear_translation(0, 1, +1, 0.0, 1.0, 0.0, d=2)
-        out = flow_schedule(np.array([1.5, 0.3]), sched)
-        np.testing.assert_allclose(out.x, [1.5, 0.3])
+        out = flow1([1.5, 0.3], sched)
+        np.testing.assert_allclose(out, [1.5, 0.3])
 
     def test_negative_tau(self):
         sched = shear_translation(0, 1, +1, 0.0, 1.0, -2.0, d=2)
-        out = flow_schedule(np.array([1.5, 0.0]), sched)
-        np.testing.assert_allclose(out.x, [1.5, -2.0], atol=1e-12)
+        out = flow1([1.5, 0.0], sched)
+        np.testing.assert_allclose(out, [1.5, -2.0], atol=1e-12)
 
     def test_negative_a_sign(self):
         # active side flips: points with -x_0 + b - h >= 0, i.e. x_0 <= b - h
         sched = shear_translation(0, 1, -1, 0.0, 1.0, 1.0, d=2)
-        out = flow_schedule(np.array([-1.5, 0.0]), sched)
-        np.testing.assert_allclose(out.x, [-1.5, 1.0], atol=1e-12)
-        out = flow_schedule(np.array([0.5, 0.0]), sched)
-        np.testing.assert_allclose(out.x, [0.5, 0.0])
+        out = flow1([-1.5, 0.0], sched)
+        np.testing.assert_allclose(out, [-1.5, 1.0], atol=1e-12)
+        out = flow1([0.5, 0.0], sched)
+        np.testing.assert_allclose(out, [0.5, 0.0])
 
     def test_k_equals_l_rejected(self):
         with pytest.raises(ValueError):
@@ -134,14 +135,14 @@ class TestShearTranslation:
     def test_shear_for_region_above_and_below(self):
         d = 2
         up = shear_for_region(move_axis=1, tau=0.5, sel_axis=0, lo=1.0, hi=1.25, d=d)
-        np.testing.assert_allclose(flow_schedule(np.array([2.0, 0.0]), up).x,
+        np.testing.assert_allclose(flow1([2.0, 0.0], up),
                                    [2.0, 0.5], atol=1e-12)
-        np.testing.assert_allclose(flow_schedule(np.array([0.5, 0.0]), up).x,
+        np.testing.assert_allclose(flow1([0.5, 0.0], up),
                                    [0.5, 0.0])
         down = shear_for_region(move_axis=1, tau=0.5, sel_axis=0, lo=1.0, hi=0.75, d=d)
-        np.testing.assert_allclose(flow_schedule(np.array([0.0, 0.0]), down).x,
+        np.testing.assert_allclose(flow1([0.0, 0.0], down),
                                    [0.0, 0.5], atol=1e-12)
-        np.testing.assert_allclose(flow_schedule(np.array([1.5, 0.0]), down).x,
+        np.testing.assert_allclose(flow1([1.5, 0.0], down),
                                    [1.5, 0.0])
 
 
@@ -169,26 +170,24 @@ class TestStaircase:
 
 
 class TestSlopeChangeStage:
+    """slope_change_stages with a single stage (c, ratio, h)."""
+
     def test_contraction(self):
-        seg = slope_change_stage(c=1.0, ratio=0.25, h=0.5)
-        out = flow_schedule(np.array([2.0]), ControlSchedule((seg,)))
-        assert out.x[0] == pytest.approx(1.25, abs=1e-13)
+        sched = slope_change_stages(c=[1.0], ratio=[0.25], h=[0.5])
+        assert flow1(2.0, sched)[0] == pytest.approx(1.25, abs=1e-13)
 
     def test_ratio_one_identity(self):
-        seg = slope_change_stage(0.0, 1.0, 1.0)
-        out = flow_schedule(np.array([0.7]), ControlSchedule((seg,)))
-        assert out.x[0] == 0.7
+        sched = slope_change_stages([0.0], [1.0], [1.0])
+        assert flow1(0.7, sched)[0] == 0.7
 
     def test_expansion(self):
-        seg = slope_change_stage(0.0, 2.0, 1.0)
-        out = flow_schedule(np.array([0.5]), ControlSchedule((seg,)))
-        assert out.x[0] == pytest.approx(1.0, abs=1e-13)
+        sched = slope_change_stages([0.0], [2.0], [1.0])
+        assert flow1(0.5, sched)[0] == pytest.approx(1.0, abs=1e-13)
 
     def test_invalid_ratio(self):
         with pytest.raises(ValueError):
-            slope_change_stage(0.0, -1.0, 1.0)
+            slope_change_stages([0.0], [-1.0], [1.0])
 
     def test_fixes_points_below(self):
-        seg = slope_change_stage(1.0, 3.0, 0.5)
-        out = flow_schedule(np.array([0.2]), ControlSchedule((seg,)))
-        assert out.x[0] == 0.2
+        sched = slope_change_stages([1.0], [3.0], [0.5])
+        assert flow1(0.2, sched)[0] == 0.2

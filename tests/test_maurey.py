@@ -14,7 +14,7 @@ from reluflow.maurey import (
     sample_schedule,
 )
 from reluflow.numerics import neuron_field
-from reluflow.schedule import flow_points
+from reluflow.schedule import ControlSchedule, flow_points
 
 
 def mixture_of_cells(time_grid, cells, R=2.0, d=2):
@@ -66,8 +66,7 @@ class TestSampleSchedule:
         m = single_atom_mixture([0.0, 0.5], [1.0, 0.0], 0.4, mass=0.8)
         run = sample_schedule(m, 16, seed=3)
         assert len(run.schedule) == 16
-        assert all(abs(s.duration - 1 / 16) < 1e-15
-                   for s in run.schedule.segments)
+        assert np.all(np.abs(run.schedule.duration - 1 / 16) < 1e-15)
         # w' = N r_k w / c reproduces mass * w exactly for a constant mixture
         np.testing.assert_allclose(
             run.schedule.w, np.tile(0.8 * np.array([0.0, 0.5]), (16, 1)),
@@ -173,14 +172,18 @@ class TestRunErrors:
         m = builtin_mixture()
         run = sample_schedule(m, 16, seed=5)
         x = np.array([[0.2, 0.1]])
-        for k, seg in enumerate(run.schedule.segments[:4]):
-            n = seg.neuron
-            z0 = float(x[0] @ n.a + n.b)
+        sched = run.schedule
+        for k in range(4):
+            a, b = sched.a[k], sched.b[k]
+            z0 = float(x[0] @ a + b)
             if z0 <= 0:
                 continue
             for frac in np.linspace(0.05, 0.95, 10):
-                sub = flow_points(x, type(run.schedule)((type(seg)(n, seg.duration * frac),)))[0]
-                znow = float(sub[0] @ n.a + n.b)
+                part = ControlSchedule.from_arrays(
+                    sched.a[k:k + 1], sched.w[k:k + 1], sched.b[k:k + 1],
+                    sched.duration[k:k + 1] * frac)
+                sub = flow_points(x, part)[0]
+                znow = float(sub[0] @ a + b)
                 assert (znow > 0) == (z0 > 0)
 
     def test_error_shrinks_with_N(self, rng):

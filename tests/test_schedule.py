@@ -11,76 +11,57 @@ from reluflow.schedule import (
     MIN_FUSED_RUN,
     ControlSchedule,
     FlowOverflowError,
-    FlowState,
-    Neuron,
     ProfileRun,
-    Segment,
     ShearRun,
     compile_schedule,
     flow_points,
-    flow_schedule,
-    flow_segment,
     flow_segments,
     invert_schedule,
-    oracle_flow,
     oracle_points,
 )
 from reluflow.targets import get_target
-from tests.conftest import random_schedule
+from tests.conftest import random_schedule, schedule_of
+
+
+def flow_one(x, *rows):
+    """Position and log-det of the single point x after the rows
+    (w, a, b, duration), one segment each."""
+    X, ld = flow_points(np.array(x, dtype=float)[None], schedule_of(*rows))
+    return X[0], ld[0]
 
 
 class TestFlowSegment:
     def test_1d_dilation(self):
         # exp(w t)(x - b) + b with w=1, b=0, t=ln 2 doubles x and logdet=ln 2
-        state = FlowState(np.array([1.0]))
-        out = flow_segment(state, Neuron([1.0], [1.0], 0.0), np.log(2))
-        assert out.x[0] == pytest.approx(2.0, abs=1e-14)
-        assert out.logdet == pytest.approx(np.log(2), abs=1e-14)
+        x, ld = flow_one([1.0], ([1.0], [1.0], 0.0, np.log(2)))
+        assert x[0] == pytest.approx(2.0, abs=1e-14)
+        assert ld == pytest.approx(np.log(2), abs=1e-14)
 
     def test_inactive_point_fixed(self):
-        state = FlowState(np.array([-1.0]), logdet=0.0)
-        out = flow_segment(state, Neuron([1.5], [1.0], 0.0), 0.7)
-        assert out.x[0] == -1.0
-        assert out.logdet == 0.0
+        x, ld = flow_one([-1.0], ([1.5], [1.0], 0.0, 0.7))
+        assert x[0] == -1.0
+        assert ld == 0.0
 
     def test_2d_shear(self):
         # a.w = 0: pure shear, logdet exactly 0
-        state = FlowState(np.array([0.5, 0.0]))
-        out = flow_segment(state, Neuron([0.0, 2.0], [1.0, 0.0], 0.0), 1.0)
-        np.testing.assert_allclose(out.x, [0.5, 1.0], atol=1e-14)
-        assert out.logdet == 0.0
+        x, ld = flow_one([0.5, 0.0], ([0.0, 2.0], [1.0, 0.0], 0.0, 1.0))
+        np.testing.assert_allclose(x, [0.5, 1.0], atol=1e-14)
+        assert ld == 0.0
 
     def test_boundary_is_inactive(self):
-        state = FlowState(np.array([0.0]))
-        out = flow_segment(state, Neuron([1.0], [1.0], 0.0), 1.0)
-        assert out.x[0] == 0.0
+        x, _ = flow_one([0.0], ([1.0], [1.0], 0.0, 1.0))
+        assert x[0] == 0.0
 
     def test_overflow_guard(self):
-        state = FlowState(np.array([1.0]))
         with pytest.raises(FlowOverflowError):
-            flow_segment(state, Neuron([1000.0], [1.0], 0.0), 1.0)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            Neuron([np.nan], [1.0], 0.0)
-        with pytest.raises(ValueError):
-            Segment(Neuron([1.0], [1.0], 0.0), -0.1)
+            flow_one([1.0], ([1000.0], [1.0], 0.0, 1.0))
 
 
 class TestFlowSchedule:
     def test_empty_schedule_identity(self):
-        out = flow_schedule(np.array([1.0, 2.0]), ControlSchedule())
-        np.testing.assert_array_equal(out.x, [1.0, 2.0])
-        assert out.logdet == 0.0
-
-    def test_single_segment_matches_flow_segment(self, rng):
-        neuron = Neuron(rng.normal(size=3), rng.normal(size=3), 0.3)
-        sched = ControlSchedule((Segment(neuron, 0.4),))
-        x = rng.normal(size=3)
-        a = flow_schedule(x, sched)
-        b = flow_segment(FlowState(x), neuron, 0.4)
-        np.testing.assert_array_equal(a.x, b.x)
-        assert a.logdet == b.logdet
+        X, ld = flow_points(np.array([[1.0, 2.0]]), ControlSchedule())
+        np.testing.assert_array_equal(X, [[1.0, 2.0]])
+        assert ld[0] == 0.0
 
     def test_matches_oracle_random(self, rng):
         for d in (1, 2, 3):
@@ -94,14 +75,14 @@ class TestFlowSchedule:
     def test_activation_sign_invariant(self, rng):
         # if a.x+b > 0 at segment start it stays positive along the segment
         for _ in range(20):
-            neuron = Neuron(rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2),
-                            rng.uniform(-1, 1))
+            w, a = rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2)
+            b = rng.uniform(-1, 1)
             x = rng.uniform(-2, 2, 2)
-            if neuron.a @ x + neuron.b <= 0:
+            if a @ x + b <= 0:
                 continue
             for t in np.linspace(0, 1, 11):
-                xt = flow_segment(FlowState(x), neuron, t).x
-                assert neuron.a @ xt + neuron.b > 0
+                xt, _ = flow_one(x, (w, a, b, t))
+                assert a @ xt + b > 0
 
     @pytest.mark.parametrize("n_segments", [0, 4])
     def test_flow_points_copies_its_input(self, rng, n_segments):
@@ -119,12 +100,12 @@ class TestInvertSchedule:
         assert len(invert_schedule(ControlSchedule())) == 0
 
     def test_single_segment_sign_flip(self):
-        sched = ControlSchedule((Segment(Neuron([1.0, 2.0], [0.0, 1.0], 0.5), 0.3),))
+        sched = schedule_of(([1.0, 2.0], [0.0, 1.0], 0.5, 0.3))
         inv = invert_schedule(sched)
-        np.testing.assert_array_equal(inv.segments[0].neuron.w, [-1.0, -2.0])
-        np.testing.assert_array_equal(inv.segments[0].neuron.a, [0.0, 1.0])
-        assert inv.segments[0].neuron.b == 0.5
-        assert inv.segments[0].duration == 0.3
+        np.testing.assert_array_equal(inv.w, [[-1.0, -2.0]])
+        np.testing.assert_array_equal(inv.a, [[0.0, 1.0]])
+        np.testing.assert_array_equal(inv.b, [0.5])
+        np.testing.assert_array_equal(inv.duration, [0.3])
 
     def test_round_trip(self, rng):
         sched = random_schedule(rng, 2, n_segments=5, max_duration=0.6)
@@ -138,20 +119,20 @@ class TestInvertSchedule:
 
 class TestOracle:
     def test_oracle_matches_dilation(self):
-        sched = ControlSchedule((Segment(Neuron([1.0], [1.0], 0.0), np.log(2)),))
-        ref = oracle_flow(np.array([1.0]), sched, step=1e-4)
-        assert ref.x[0] == pytest.approx(2.0, abs=1e-6)
-        assert ref.logdet == pytest.approx(np.log(2), abs=1e-6)
+        sched = schedule_of(([1.0], [1.0], 0.0, np.log(2)))
+        X, ld = oracle_points(np.array([[1.0]]), sched, step=1e-4)
+        assert X[0, 0] == pytest.approx(2.0, abs=1e-6)
+        assert ld[0] == pytest.approx(np.log(2), abs=1e-6)
 
     def test_oracle_exact_on_inactive(self):
-        sched = ControlSchedule((Segment(Neuron([1.0], [1.0], 0.0), 1.0),))
-        ref = oracle_flow(np.array([-2.0]), sched, step=1e-3)
-        assert ref.x[0] == -2.0
+        sched = schedule_of(([1.0], [1.0], 0.0, 1.0))
+        X, _ = oracle_points(np.array([[-2.0]]), sched, step=1e-3)
+        assert X[0, 0] == -2.0
 
     def test_oracle_shear(self):
-        sched = ControlSchedule((Segment(Neuron([0.0, 2.0], [1.0, 0.0], 0.0), 1.0),))
-        ref = oracle_flow(np.array([0.5, 0.0]), sched, step=1e-3)
-        np.testing.assert_allclose(ref.x, [0.5, 1.0], atol=1e-8)
+        sched = schedule_of(([0.0, 2.0], [1.0, 0.0], 0.0, 1.0))
+        X, _ = oracle_points(np.array([[0.5, 0.0]]), sched, step=1e-3)
+        np.testing.assert_allclose(X[0], [0.5, 1.0], atol=1e-8)
 
 
 class TestSerialization:
@@ -160,21 +141,19 @@ class TestSerialization:
         path = tmp_path / "sched.json"
         sched.save(path)
         loaded = ControlSchedule.load(path)
-        for a, b in zip(sched.segments, loaded.segments):
-            np.testing.assert_array_equal(a.neuron.w, b.neuron.w)
-            np.testing.assert_array_equal(a.neuron.a, b.neuron.a)
-            assert a.neuron.b == b.neuron.b
-            assert a.duration == b.duration
+        for name in ("a", "w", "b", "duration"):
+            np.testing.assert_array_equal(getattr(loaded, name),
+                                          getattr(sched, name))
 
     def test_format_fields(self):
-        sched = ControlSchedule((Segment(Neuron([1.0, 0.0], [0.0, 1.0], 0.25), 0.5),))
+        sched = schedule_of(([1.0, 0.0], [0.0, 1.0], 0.25, 0.5))
         data = json.loads(json.dumps(sched.to_dict()))
         assert data["d"] == 2
         assert data["segments"][0] == {
             "w": [1.0, 0.0], "a": [0.0, 1.0], "b": 0.25, "duration": 0.5}
 
     def test_declared_dimension_checked(self):
-        sched = ControlSchedule((Segment(Neuron([1.0, 0.0], [0.0, 1.0], 0.25), 0.5),))
+        sched = schedule_of(([1.0, 0.0], [0.0, 1.0], 0.25, 0.5))
         data = sched.to_dict()
         data["d"] = 3
         with pytest.raises(ValueError, match="d = 3"):
@@ -196,14 +175,13 @@ class TestArrays:
         with pytest.raises(ValueError, match="read-only"):
             sched.w[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            sched.segments[0].neuron.w[0] = 1.0
+            sched.segments[0].w[0] = 1.0
 
     def test_caller_arrays_are_copied(self, rng):
         arrays = self._arrays(rng)
         sched = ControlSchedule.from_arrays(*arrays)
         w = np.array(arrays[1][0])
-        neuron = Neuron(w, arrays[0][0], 0.5)
-        single = ControlSchedule((Segment(neuron, 0.3),))
+        single = schedule_of((w, arrays[0][0], 0.5, 0.3))
         X = rng.uniform(-1, 1, size=(16, 2))
         before = flow_points(X, sched), flow_points(X, single)
         kept = [v.copy() for v in (sched.a, sched.w, sched.b, sched.duration)]
@@ -216,17 +194,6 @@ class TestArrays:
         for (Y, ld), (Y2, ld2) in zip(before, after):
             np.testing.assert_array_equal(Y, Y2)
             np.testing.assert_array_equal(ld, ld2)
-
-    def test_to_dict_same_for_segments_and_arrays(self, rng):
-        sched = random_schedule(rng, 3, n_segments=5)
-        again = ControlSchedule.from_arrays(
-            [seg.neuron.a for seg in sched.segments],
-            [seg.neuron.w for seg in sched.segments],
-            [seg.neuron.b for seg in sched.segments],
-            [seg.duration for seg in sched.segments])
-        assert (json.dumps(sched.to_dict())
-                == json.dumps(again.to_dict())
-                == json.dumps(ControlSchedule(again.segments).to_dict()))
 
     @pytest.mark.parametrize("change,problem", [
         (lambda a, w, b, t: (a, w[:, :1], b, t), "same dimension"),
@@ -246,8 +213,8 @@ class TestArrays:
         both = one + ControlSchedule() + two
         assert len(both) == 5 and both.d == 2
         np.testing.assert_array_equal(both.w[2:], two.w)
-        assert both.total_duration == sum(
-            seg.duration for seg in one.segments + two.segments)
+        assert both.total_duration == sum(one.duration.tolist()
+                                          + two.duration.tolist())
         with pytest.raises(ValueError, match="dimension"):
             one + random_schedule(rng, 3, n_segments=1)
 
@@ -259,11 +226,10 @@ class TestArrays:
 )
 def test_segment_group_property(x, w, a, b, t):
     # flowing t then t again equals flowing 2t (semigroup in time)
-    neuron = Neuron([w], [a], b)
-    one = flow_segment(flow_segment(FlowState(np.array([x])), neuron, t), neuron, t)
-    two = flow_segment(FlowState(np.array([x])), neuron, 2 * t)
-    assert one.x[0] == pytest.approx(two.x[0], rel=1e-9, abs=1e-9)
-    assert one.logdet == pytest.approx(two.logdet, rel=1e-9, abs=1e-9)
+    one = flow_one([x], ([w], [a], b, t), ([w], [a], b, t))
+    two = flow_one([x], ([w], [a], b, 2 * t))
+    assert one[0][0] == pytest.approx(two[0][0], rel=1e-9, abs=1e-9)
+    assert one[1] == pytest.approx(two[1], rel=1e-9, abs=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -271,12 +237,11 @@ def test_segment_group_property(x, w, a, b, t):
 
 
 def _aligned(read, write, d, rng, scale=1.0, duration=0.05):
-    """An axis-aligned segment: a = +-e_read, w = c e_write."""
+    """An axis-aligned row (w, a, b, duration): a = +-e_read, w = c e_write."""
     a, w = np.zeros(d), np.zeros(d)
     a[read] = rng.choice([-1.0, 1.0])
     w[write] = scale * rng.uniform(-2, 2)
-    return Segment(Neuron(w, a, rng.uniform(-1, 1)),
-                   rng.uniform(0, duration))
+    return w, a, rng.uniform(-1, 1), rng.uniform(0, duration)
 
 
 @pytest.fixture(scope="module")
@@ -336,19 +301,19 @@ class TestCompiledSchedule:
 
     def test_short_runs_stay_on_the_loop(self, rng):
         segs = [_aligned(0, 1, 2, rng) for _ in range(MIN_FUSED_RUN - 1)]
-        steps = compile_schedule(ControlSchedule(tuple(segs))).steps
+        steps = compile_schedule(schedule_of(*segs)).steps
         assert len(steps) == 1 and isinstance(steps[0], np.ndarray)
         segs.append(_aligned(0, 1, 2, rng))
-        steps = compile_schedule(ControlSchedule(tuple(segs))).steps
+        steps = compile_schedule(schedule_of(*segs)).steps
         assert len(steps) == 1 and isinstance(steps[0], ShearRun)
 
     def test_no_op_segments_do_not_break_runs(self, rng):
         segs = []
         for _ in range(MIN_FUSED_RUN):
             segs.append(_aligned(1, 1, 2, rng))
-            segs.append(Segment(Neuron([0.0, 0.0], [1.0, 0.5], 0.1), 0.3))
-            segs.append(Segment(Neuron([0.3, 0.2], [1.0, 0.5], 0.1), 0.0))
-        sched = ControlSchedule(tuple(segs))
+            segs.append(([0.0, 0.0], [1.0, 0.5], 0.1, 0.3))
+            segs.append(([0.3, 0.2], [1.0, 0.5], 0.1, 0.0))
+        sched = schedule_of(*segs)
         steps = compile_schedule(sched).steps
         assert len(steps) == 1 and isinstance(steps[0], ProfileRun)
         X = rng.uniform(-2, 2, size=(200, 2))
@@ -361,9 +326,8 @@ class TestCompiledSchedule:
         # a long profile run with one segment far past the overflow guard
         # on {x_0 > 5}
         segs = [_aligned(0, 0, 2, rng) for _ in range(2 * MIN_FUSED_RUN)]
-        segs.insert(MIN_FUSED_RUN,
-                    Segment(Neuron([1000.0, 0.0], [1.0, 0.0], -5.0), 1.0))
-        sched = ControlSchedule(tuple(segs))
+        segs.insert(MIN_FUSED_RUN, ([1000.0, 0.0], [1.0, 0.0], -5.0, 1.0))
+        sched = schedule_of(*segs)
         assert any(isinstance(s, ProfileRun)
                    for s in compile_schedule(sched).steps)
         X = rng.uniform(-1, 1, size=(64, 2))
@@ -379,9 +343,8 @@ class TestCompiledSchedule:
 
     def test_contracting_segment_overflows_in_the_inverse(self, rng):
         segs = [_aligned(0, 0, 1, rng) for _ in range(2 * MIN_FUSED_RUN)]
-        segs.insert(MIN_FUSED_RUN,
-                    Segment(Neuron([-1000.0], [1.0], -5.0), 1.0))
-        sched = ControlSchedule(tuple(segs))
+        segs.insert(MIN_FUSED_RUN, ([-1000.0], [1.0], -5.0, 1.0))
+        sched = schedule_of(*segs)
         X = rng.uniform(6, 7, size=(8, 1))
         Y, _ = flow_points(X, sched)
         with pytest.raises(FlowOverflowError):
@@ -391,8 +354,8 @@ class TestCompiledSchedule:
     def test_run_with_extreme_slopes_stays_on_the_loop(self, rng):
         # each segment contracts {x_0 > 0} by e^-60: the composed slope
         # e^-1200 underflows, so the run is not fused
-        seg = Segment(Neuron([-60.0, 0.0], [1.0, 0.0], 0.0), 1.0)
-        sched = ControlSchedule((seg,) * (2 * MIN_FUSED_RUN))
+        seg = ([-60.0, 0.0], [1.0, 0.0], 0.0, 1.0)
+        sched = schedule_of(*(seg,) * (2 * MIN_FUSED_RUN))
         steps = compile_schedule(sched).steps
         assert len(steps) == 1 and isinstance(steps[0], np.ndarray)
         X = rng.uniform(-1, 1, size=(64, 2))
@@ -402,8 +365,8 @@ class TestCompiledSchedule:
         np.testing.assert_array_equal(ld, ld_ref)
 
     def test_input_checks_keep_their_messages(self, rng):
-        sched = ControlSchedule(tuple(_aligned(0, 1, 2, rng)
-                                      for _ in range(MIN_FUSED_RUN)))
+        sched = schedule_of(*(_aligned(0, 1, 2, rng)
+                              for _ in range(MIN_FUSED_RUN)))
         with pytest.raises(ValueError, match="non-finite"):
             flow_points(np.array([[np.nan, 0.0]]), sched)
         with pytest.raises(ValueError, match="dimension 2 != point "
@@ -411,8 +374,8 @@ class TestCompiledSchedule:
             flow_points(np.zeros((4, 3)), sched)
 
     def test_cache_keeps_no_schedule_alive(self, rng):
-        segs = tuple(_aligned(0, 1, 2, rng) for _ in range(MIN_FUSED_RUN))
-        sched = ControlSchedule(segs)
+        sched = schedule_of(*(_aligned(0, 1, 2, rng)
+                              for _ in range(MIN_FUSED_RUN)))
         flow_points(np.zeros((3, 2)), sched)
         inv = invert_schedule(sched)
         refs = weakref.ref(sched), weakref.ref(inv)
@@ -430,18 +393,19 @@ def mixed_schedules(draw):
     to fuse, interleaved with generic segments."""
     d = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    segs = []
+    parts = []
     for _ in range(draw(st.integers(1, 4))):
         kind = draw(st.sampled_from(["shear", "profile", "generic"]))
         length = draw(st.integers(1, 2 * MIN_FUSED_RUN))
         if kind == "generic" or (kind == "shear" and d == 1):
-            segs.extend(random_schedule(rng, d, length, scale=1.0,
-                                        max_duration=0.05).segments)
+            parts.append(random_schedule(rng, d, length, scale=1.0,
+                                         max_duration=0.05))
             continue
         read = int(rng.integers(d))
         write = read if kind == "profile" else (read + 1) % d
-        segs.extend(_aligned(read, write, d, rng) for _ in range(length))
-    return ControlSchedule(tuple(segs)), rng.uniform(-2, 2, size=(64, d))
+        parts.append(schedule_of(*(_aligned(read, write, d, rng)
+                                   for _ in range(length))))
+    return ControlSchedule.concat(parts), rng.uniform(-2, 2, size=(64, d))
 
 
 @settings(max_examples=40, deadline=None)
