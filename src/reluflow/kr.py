@@ -6,35 +6,46 @@ component solves
 
     F1_k(phi_k | phi_{1:k-1}(x)) = F0_k(x_k | x_{1:k-1})
 
-by monotone bisection, where F_k is the conditional CDF of the k-th
-coordinate given the leading ones.  Conditional CDFs are exact integrals of
-the piecewise-linear interpolated density (piecewise quadratic in t), with
-multilinear interpolation in the conditioning point; each conditional slice
-is renormalized, which kills quadrature drift across slices.
+in closed form, where F_k is the conditional CDF of the k-th coordinate
+given the leading ones.  The density is multilinear on the grid, so the
+conditional slice at a prefix is the blend of the 2^(k-1) grid rows at the
+corners of the prefix's cell, and its cumulative integral is the same blend
+of the rows' cumulative piece integrals, which are tabulated once per
+marginal.  F_k is the exact integral of the piecewise-linear slice, so it
+is piecewise quadratic in t with its knots in that table: it is inverted by
+finding each row's piece and taking the stable root of the quadratic.  Each
+conditional slice is renormalized, which kills quadrature drift across
+slices.
 
-Evaluation is vectorized: one batched bisection per coordinate, with the
-conditional-density slices and their cumulative integrals computed once per
-batch of at most ``_CHUNK_ROWS`` points.
+Evaluation is vectorized over points, in batches of at most
+``_CHUNK_ROWS``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from reluflow.numerics import bisect_increasing, grid_points, trapezoid_all
 
 BISECT_TOL = 1e-10
 # halvings of [0, 1] that bring the bracket below BISECT_TOL
 _BISECT_ITERS = int(np.ceil(np.log2(1.0 / BISECT_TOL))) + 1
-# each point holds conditional-density rows (about 4 KB at 65 nodes)
+# each point of a batch holds 2^(k-1) cumulative rows of the target
+# marginal while it is inverted (about 0.5 KB per row at 65 nodes)
 _CHUNK_ROWS = 2048
 
 
 class DensityDegeneracyError(ValueError):
-    """CDF inversion lost monotone bracketing (density not positive)."""
+    """A conditional slice has no positive mass, or a CDF target lies
+    outside [0, 1]."""
+
+
+def _read_only(v: np.ndarray) -> np.ndarray:
+    v.flags.writeable = False
+    return v
 
 
 @dataclass(frozen=True)
@@ -42,6 +53,7 @@ class GridDensity:
     """Strictly positive values on an inclusive tensor grid over [0,1]^d."""
 
     values: np.ndarray
+    nodes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -50,14 +62,12 @@ class GridDensity:
         if np.any(v <= 0):
             raise ValueError("density values must be strictly positive")
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "nodes", tuple(
+            _read_only(np.linspace(0.0, 1.0, n)) for n in v.shape))
 
     @property
     def d(self) -> int:
         return self.values.ndim
-
-    @property
-    def nodes(self) -> tuple:
-        return tuple(np.linspace(0.0, 1.0, n) for n in self.values.shape)
 
     def integral(self) -> float:
         return float(trapezoid_all(self.values))
@@ -86,73 +96,115 @@ def marginal(rho: GridDensity, k: int) -> GridDensity:
     return GridDensity(trapezoid_all(rho.values, axes=range(k, rho.d)))
 
 
+class _SliceTable:
+    """A marginal's density rows along its last axis, with their cumulative
+    piece integrals; both read-only.
+
+    Row r of ``dens`` is the marginal at the r-th node of the leading axes
+    (C order).  Row r of ``cum`` is 0 followed by the cumsum of the pieces
+    widths * (dens[r, :-1] + dens[r, 1:]) / 2.  Both are linear in the
+    density, so the blend of rows that gives a conditional slice gives its
+    cumulative integrals too.
+    """
+
+    def __init__(self, marg: GridDensity):
+        self.lead = marg.nodes[:-1]
+        self.nodes = marg.nodes[-1]
+        self.widths = np.diff(self.nodes)
+        self.dens = _read_only(marg.values.reshape(-1, len(self.nodes)))
+        pieces = self.widths * (self.dens[:, :-1] + self.dens[:, 1:]) / 2.0
+        self.cum = _read_only(np.concatenate(
+            [np.zeros((len(pieces), 1)), np.cumsum(pieces, axis=1)], axis=1))
+
+    def at(self, prefix: np.ndarray) -> "_ConditionalCDF":
+        """The conditional CDFs at the rows of ``prefix`` (n, k-1).
+
+        Each slice blends the rows at the corners of the prefix's grid cell
+        with multilinear weights; a prefix outside [0, 1] extrapolates the
+        boundary cell linearly.
+        """
+        rows = np.zeros((len(prefix), 1), dtype=np.intp)
+        weights = np.ones((len(prefix), 1))
+        for j, nodes in enumerate(self.lead):
+            x = prefix[:, j]
+            i = np.clip(np.searchsorted(nodes, x, side="right") - 1,
+                        0, len(nodes) - 2)
+            f = ((x - nodes[i]) / (nodes[i + 1] - nodes[i]))[:, None]
+            rows = rows * len(nodes) + i[:, None]
+            rows = np.concatenate([rows, rows + 1], axis=1)
+            weights = np.concatenate([weights * (1.0 - f), weights * f],
+                                     axis=1)
+        return _ConditionalCDF(self, rows, weights)
+
+
 class _ConditionalCDF:
     """Batched normalized CDFs of piecewise-linear densities on shared nodes.
 
-    ``dens`` has one density slice per row; the CDF of a linear piece is
-    exact (trapezoid of the endpoint values, partial piece up to t via the
-    interpolated density at t), so F is piecewise quadratic in t.
+    Point p's density slice is sum_c weights[p, c] * table.dens[rows[p, c]].
+    Its CDF is exact (trapezoid of the endpoint values, partial piece up to
+    t via the interpolated density at t), so F is piecewise quadratic in t,
+    with its knots in the same blend of ``table.cum``.  Piece i spans
+    [nodes[i], nodes[i + 1]]; the last node starts an empty piece, so that
+    t = 1 and F = 1 meet on a knot exactly.
     """
 
-    def __init__(self, nodes: np.ndarray, dens: np.ndarray):
-        dens = np.atleast_2d(dens)
-        self.nodes = nodes
-        self.dens = dens
-        widths = np.diff(nodes)
-        pieces = widths * (dens[:, :-1] + dens[:, 1:]) / 2.0
-        cum = np.concatenate([np.zeros((dens.shape[0], 1)),
-                              np.cumsum(pieces, axis=1)], axis=1)
-        total = cum[:, -1]
-        if np.any(total <= 0):
+    def __init__(self, table: _SliceTable, rows: np.ndarray,
+                 weights: np.ndarray):
+        self.table, self.rows, self.weights = table, rows, weights
+        self.total = self._blend(table.cum, len(table.nodes) - 1)
+        if np.any(self.total <= 0):
             raise DensityDegeneracyError("conditional slice has zero mass")
-        self.cum = cum
-        self.total = total
-        self.widths = widths
+
+    def _blend(self, values: np.ndarray, col) -> np.ndarray:
+        """Entry ``col`` (one per point, or shared) of each point's slice of
+        the table ``values``."""
+        return np.einsum("pc,pc->p", self.weights,
+                         values[self.rows, np.asarray(col)[..., None]])
+
+    @cached_property
+    def _cum_rows(self) -> np.ndarray:
+        """Every point's whole cumulative row, (n, nodes)."""
+        return np.einsum("pc,pcm->pm", self.weights, self.table.cum[self.rows])
+
+    def _piece(self, i: np.ndarray) -> tuple:
+        """Left density and density slope of piece i, per point."""
+        last = len(self.table.nodes) - 1
+        d0 = self._blend(self.table.dens, i)
+        d1 = self._blend(self.table.dens, np.minimum(i + 1, last))
+        return d0, (d1 - d0) / self.table.widths[np.minimum(i, last - 1)]
 
     def eval(self, t: np.ndarray) -> np.ndarray:
         t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-        i = np.clip(np.searchsorted(self.nodes, t, side="right") - 1,
-                    0, len(self.nodes) - 2)
-        rows = np.arange(self.dens.shape[0])
-        frac = t - self.nodes[i]
-        d0 = self.dens[rows, i]
-        d1 = self.dens[rows, i + 1]
-        dens_t = d0 + (d1 - d0) * frac / self.widths[i]
-        partial = self.cum[rows, i] + frac * (d0 + dens_t) / 2.0
+        i = np.searchsorted(self.table.nodes, t, side="right") - 1
+        d0, slope = self._piece(i)
+        frac = t - self.table.nodes[i]
+        dens_t = d0 + slope * frac
+        partial = self._blend(self.table.cum, i) + frac * (d0 + dens_t) / 2.0
         return partial / self.total
 
     def invert(self, targets: np.ndarray) -> np.ndarray:
+        """F^{-1}(targets): the piece holding each target mass r, then the
+        root f of d0 f + slope f^2 / 2 = r, clipped to the piece."""
         targets = np.asarray(targets, dtype=float)
         if np.any(targets < -1e-12) or np.any(targets > 1 + 1e-12):
             raise DensityDegeneracyError("CDF target outside [0, 1]")
-        return bisect_increasing(self.eval, targets, 0.0, 1.0, _BISECT_ITERS)
-
-
-def _conditional_slices(marg_k: GridDensity, prefix: np.ndarray,
-                        interp=None) -> np.ndarray:
-    """Density rows over the k-th axis at the (interpolated) prefix points."""
-    v = marg_k.values
-    prefix = np.atleast_2d(np.asarray(prefix, dtype=float))
-    n_pts = prefix.shape[0]
-    if v.ndim == 1:
-        return np.tile(v, (n_pts, 1))
-    nodes = marg_k.nodes
-    if interp is None:
-        interp = RegularGridInterpolator(nodes, v, method="linear",
-                                         bounds_error=False, fill_value=None)
-    xk = nodes[-1]
-    pts = np.concatenate([np.repeat(prefix, len(xk), axis=0),
-                          np.tile(xk, n_pts)[:, None]], axis=1)
-    return interp(pts).reshape(n_pts, len(xk))
+        nodes, cum = self.table.nodes, self._cum_rows
+        mass = targets * cum[:, -1]
+        i = np.maximum(np.count_nonzero(cum <= mass[:, None], axis=1) - 1, 0)
+        d0, slope = self._piece(i)
+        r = mass - cum[np.arange(len(i)), i]
+        # the stable root: no cancellation for either sign of the slope
+        f = 2.0 * r / (d0 + np.sqrt(np.maximum(d0 * d0 + 2.0 * slope * r,
+                                                0.0)))
+        right = nodes[np.minimum(i + 1, len(nodes) - 1)]
+        return nodes[i] + np.clip(f, 0.0, right - nodes[i])
 
 
 def conditional_cdf(rho: GridDensity, k: int, t: float, x_prefix=()) -> float:
     """F^k(t | x_{1:k-1}) of the grid density; strictly increasing in t."""
-    marg_k = marginal(rho, k)
-    dens = _conditional_slices(marg_k, np.asarray(x_prefix, float)[None, :]
-                               if k > 1 else np.empty((1, 0)))
-    return float(_ConditionalCDF(marg_k.nodes[-1], dens).eval(
-        np.array([t]))[0])
+    prefix = np.asarray(x_prefix, dtype=float).reshape(1, k - 1)
+    F = _SliceTable(marginal(rho, k)).at(prefix)
+    return float(F.eval(np.array([t]))[0])
 
 
 @dataclass(frozen=True)
@@ -167,19 +219,10 @@ class KRMap:
             raise ValueError("densities must share a dimension")
         self.rho0.check_normalized()
         self.rho1.check_normalized()
-        # read-only conditional-density tables and interpolators
-        m0 = tuple(marginal(self.rho0, k) for k in range(1, self.rho0.d + 1))
-        m1 = tuple(marginal(self.rho1, k) for k in range(1, self.rho1.d + 1))
-        object.__setattr__(self, "_marg0", m0)
-        object.__setattr__(self, "_marg1", m1)
-        object.__setattr__(self, "_interp0", tuple(
-            RegularGridInterpolator(m.nodes, m.values, method="linear",
-                                    bounds_error=False, fill_value=None)
-            if m.d > 1 else None for m in m0))
-        object.__setattr__(self, "_interp1", tuple(
-            RegularGridInterpolator(m.nodes, m.values, method="linear",
-                                    bounds_error=False, fill_value=None)
-            if m.d > 1 else None for m in m1))
+        # read-only slice tables of every marginal, source and target
+        for name, rho in (("_tables0", self.rho0), ("_tables1", self.rho1)):
+            object.__setattr__(self, name, tuple(
+                _SliceTable(marginal(rho, k)) for k in range(1, rho.d + 1)))
 
     @property
     def d(self) -> int:
@@ -189,11 +232,8 @@ class KRMap:
                         phi_prefix: np.ndarray) -> tuple:
         """Source and target conditional CDFs of coordinate k, one row per
         point, given the leading coordinates and their images."""
-        m0, m1 = self._marg0[k - 1], self._marg1[k - 1]
-        d0 = _conditional_slices(m0, x_prefix, self._interp0[k - 1])
-        d1 = _conditional_slices(m1, phi_prefix, self._interp1[k - 1])
-        return (_ConditionalCDF(m0.nodes[-1], d0),
-                _ConditionalCDF(m1.nodes[-1], d1))
+        return (self._tables0[k - 1].at(x_prefix),
+                self._tables1[k - 1].at(phi_prefix))
 
     def _component_batch(self, k: int, x_k: np.ndarray, x_prefix: np.ndarray,
                          phi_prefix: np.ndarray) -> np.ndarray:
@@ -222,9 +262,10 @@ def _isotopy_inverse(phi: KRMap, t: float, X: np.ndarray) -> np.ndarray:
     """Solve (1-t) y + t phi(y) = x coordinate by coordinate (triangular).
 
     phi_t(y)_k = (1-t) y_k + t phi_k(y_{1:k}) is increasing in y_k, so each
-    coordinate is recovered by batched bisection given the previous ones.
-    The conditional CDFs of coordinate k depend only on those, so they are
-    built once per coordinate and every bisection step only evaluates them.
+    coordinate is recovered by one batched bisection given the previous
+    ones; every step evaluates phi_k in closed form.  The conditional CDFs
+    of coordinate k depend only on the previous coordinates, so they are
+    built once per coordinate.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.empty_like(X)

@@ -25,7 +25,8 @@ import numpy as np
 import scipy.optimize
 
 from reluflow.numerics import rk4
-from reluflow.schedule import ControlSchedule, flow_points, json_rows
+from reluflow.schedule import (ControlSchedule, flow_points, json_key,
+                               json_rows)
 
 
 class DegenerateMixtureError(ValueError):
@@ -115,23 +116,28 @@ class TimeMixture:
     def from_dict(cls, data: dict) -> "TimeMixture":
         """The mixture of {"d", "R", "time_grid", "cells"}, where each cell
         lists its atoms {"w", "a", "b", "mass"}: one atom row per listed
-        atom, with its mass in its own cell only.  A wrong structure raises
-        ValueError naming the field."""
-        d = int(data["d"])
-        cells = [json_rows(cell, f"cells[{i}]", ("a", "w", "b", "mass"))
-                 for i, cell in enumerate(json_rows(data["cells"], "cells"))]
+        atom, with its mass in its own cell only.  A wrong structure or
+        value type raises ValueError naming the field."""
+        d = json_key(data, "d", "mixture", "integer")
+        R = json_key(data, "R", "mixture", "number")
+        time_grid = json_key(data, "time_grid", "mixture", "vector")
+        kinds = {"a": "vector", "w": "vector", "b": "number", "mass": "number"}
+        cells = [json_rows(cell, f"cells[{i}]", kinds) for i, cell in
+                 enumerate(json_rows(json_key(data, "cells", "mixture"),
+                                     "cells"))]
         atoms = [atom for cell in cells for atom in cell]
         cell_of = [i for i, cell in enumerate(cells) for _ in cell]
-        a, w = (np.array([atom[key] for atom in atoms], dtype=float)
-                if atoms else np.zeros((0, d)) for key in ("a", "w"))
-        if a.shape != (len(atoms), d) or w.shape != a.shape:
-            raise ValueError(f"mixture declares d = {data['d']} but its "
-                             "atoms' a and w are not all of that dimension")
+        if any(len(atom[key]) != d for atom in atoms for key in ("a", "w")):
+            raise ValueError(f"mixture declares d = {d} but its atoms' a "
+                             "and w are not all of that dimension")
+        a, w = (np.array([atom[key] for atom in atoms],
+                         dtype=float).reshape(len(atoms), d)
+                for key in ("a", "w"))
         mass = np.zeros((len(cells), len(atoms)))
         mass[cell_of, np.arange(len(atoms))] = [atom["mass"] for atom in atoms]
-        return cls(data["time_grid"], a, w,
+        return cls(time_grid, a, w,
                    np.array([atom["b"] for atom in atoms], dtype=float),
-                   mass, data["R"])
+                   mass, R)
 
 
 def eval_mixture(m: TimeMixture, t: float, X):

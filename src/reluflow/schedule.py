@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -62,27 +63,49 @@ class Segment(NamedTuple):
     duration: float
 
 
-def json_rows(rows, where: str, keys=()) -> list:
-    """``rows``, checked to be a JSON list whose entries are objects holding
-    ``keys``; the ValueError for a wrong structure names ``where``."""
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
+
+
+def json_key(data: dict, key: str, where: str, kind: str = None):
+    """``data[key]``, checked to be present and, for ``kind`` "integer",
+    "number" or "vector", to be an integer, a number or a 1-d list of
+    numbers; the ValueError names ``where`` and the key."""
+    if key not in data:
+        raise ValueError(f"{where}: missing key {key!r}")
+    value = data[key]
+    ok = {None: True,
+          "integer": isinstance(value, numbers.Integral) and _is_number(value),
+          "number": _is_number(value),
+          "vector": isinstance(value, (list, tuple))
+                    and all(map(_is_number, value))}[kind]
+    if not ok:
+        what = {"integer": "an integer", "number": "a number",
+                "vector": "a 1-d list of numbers"}[kind]
+        raise ValueError(f'{where}: "{key}" must be {what}')
+    return value
+
+
+def json_rows(rows, where: str, kinds: dict = None) -> list:
+    """``rows``, checked to be a JSON list; with ``kinds`` ({key: kind}), its
+    entries must be objects holding each key with a value of that kind (see
+    ``json_key``).  The ValueError for a wrong structure names ``where``."""
     if not isinstance(rows, list):
         raise ValueError(f'"{where}" must be a list')
     for i, row in enumerate(rows):
-        if keys and not isinstance(row, dict):
+        if kinds and not isinstance(row, dict):
             raise ValueError(f"{where}[{i}] must be an object")
-        for key in keys:
-            if key not in row:
-                raise ValueError(f"{where}[{i}]: missing key {key!r}")
+        for key, kind in (kinds or {}).items():
+            json_key(row, key, f"{where}[{i}]", kind)
     return rows
 
 
 def _stack_rows(rows) -> tuple:
-    """The a, w, b and duration columns of per-segment rows (a, w, b, tau)."""
+    """The a, w, b and duration columns of per-segment rows (a, w, b, tau)
+    whose a and w are 1-d."""
     a, w, b, duration = tuple(zip(*rows)) or ((),) * 4
     columns = []
     for col in (a, w):
-        if any(np.ndim(v) != 1 for v in col):
-            raise ValueError("w and a must be 1-d vectors")
         dims = sorted({len(v) for v in col})
         if len(dims) > 1:
             raise ValueError(f"segments have mixed dimensions {dims}")
@@ -184,8 +207,9 @@ class ControlSchedule:
         object {"w", "a", "b", "duration"} ("d" is optional)."""
         if not isinstance(data, dict):
             raise ValueError("a schedule must be a JSON object")
-        rows = json_rows(data["segments"], "segments",
-                         ("a", "w", "b", "duration"))
+        rows = json_rows(json_key(data, "segments", "schedule"), "segments",
+                         {"a": "vector", "w": "vector", "b": "number",
+                          "duration": "number"})
         schedule = cls.from_arrays(*_stack_rows(
             (row["a"], row["w"], row["b"], row["duration"]) for row in rows))
         d = schedule.d if schedule.d is not None else 0

@@ -312,6 +312,49 @@ class TestBadInputs:
         err = run_failing(tmp_path, capsys, verb, config)
         assert problem in err
 
+    @pytest.mark.parametrize("verb,config,problem", [
+        ("simulate", {"schedule": {"segments": [
+            {"w": [1.0], "a": [1.0], "b": {}, "duration": 1.0}]}},
+         'segments[0]: "b" must be a number'),
+        ("evaluate", {"schedule": {"segments": [
+            {"w": [1.0], "a": [1.0], "b": 0.0, "duration": "1"}]}},
+         'segments[0]: "duration" must be a number'),
+        ("simulate", {"schedule": {"segments": [
+            {"w": [1.0], "a": [1.0], "b": 0.0, "duration": 1.0},
+            {"w": [1.0], "a": [None], "b": 0.0, "duration": 1.0}]}},
+         'segments[1]: "a" must be a 1-d list of numbers'),
+        ("maurey", {"mixture": {**builtin_mixture_inline(), "d": None}},
+         'mixture: "d" must be an integer'),
+        ("maurey", {"mixture": {**builtin_mixture_inline(), "R": {}}},
+         'mixture: "R" must be a number'),
+        ("maurey", {"mixture": {**builtin_mixture_inline(),
+                                "time_grid": [0.0, {}, 1.0]}},
+         'mixture: "time_grid" must be a 1-d list of numbers'),
+        ("maurey", {"mixture": {**builtin_mixture_inline(),
+                                "cells": [[{"w": [1.0, 0.0], "a": [0.0, 1.0],
+                                            "b": 0.0, "mass": True}], []]}},
+         'cells[0][0]: "mass" must be a number'),
+    ], ids=["segment-b-object", "segment-duration-string",
+            "segment-a-null-entry", "mixture-d-null", "mixture-R-object",
+            "mixture-time-grid-object", "atom-mass-bool"])
+    def test_wrong_value_type(self, tmp_path, capsys, verb, config, problem):
+        err = run_failing(tmp_path, capsys, verb, config)
+        assert problem in err
+
+    @pytest.mark.parametrize("verb,config,problem", [
+        ("simulate", {"schedule": {"d": 1}}, "schedule: missing key 'segments'"),
+        *(("maurey", {"mixture": {k: v for k, v in
+                                  builtin_mixture_inline().items()
+                                  if k != key}},
+           f"mixture: missing key {key!r}")
+          for key in ("d", "R", "time_grid", "cells")),
+    ], ids=["schedule-segments", "mixture-d", "mixture-R", "mixture-time-grid",
+            "mixture-cells"])
+    def test_missing_top_level_key(self, tmp_path, capsys, verb, config,
+                                   problem):
+        err = run_failing(tmp_path, capsys, verb, config)
+        assert problem in err
+
     def test_unknown_mixture_name(self, tmp_path, capsys):
         err = run_failing(tmp_path, capsys, "maurey", {"mixture": "custom"})
         assert "mixture must be \"builtin\" or a mixture object" in err

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from reluflow.kr import (
     _CHUNK_ROWS,
     GridDensity,
+    _SliceTable,
     conditional_cdf,
     displacement_field,
     kr_map,
     marginal,
 )
+from reluflow.numerics import bisect_increasing
+from reluflow.targets import get_target
 
 
 def density_2x(n=512):
@@ -91,6 +95,93 @@ class TestConditionalCdf:
                                                                   abs=1e-4)
 
 
+def cdfs_of_slices(dens, repeats):
+    """Conditional CDFs whose points p * repeats ... (p + 1) * repeats - 1
+    have the density slice dens[p]: each point's prefix is a node of the
+    leading axis, where the blend takes one row with weight exactly 1."""
+    table = _SliceTable(GridDensity(dens))
+    return table, table.at(np.repeat(table.lead[0], repeats)[:, None])
+
+
+class TestClosedFormInverse:
+    def slices(self, rng):
+        n = 11
+        dens = rng.uniform(0.2, 3.0, size=(6, n))
+        dens[0, 3:6] = dens[0, 3]          # two flat pieces
+        dens[1] = np.maximum(2 * np.linspace(0, 1, n), 1e-9)   # the 2x floor
+        dens[2, :2] = 1e-9                 # a flat piece on the floor
+        return dens
+
+    def test_matches_bisection(self, rng):
+        dens = self.slices(rng)
+        n_rows, n = dens.shape
+        table, _ = cdfs_of_slices(dens, 1)
+        knots = table.cum / table.cum[:, -1:]
+        # per slice: 0, 1, every knot's CDF value, points just off the
+        # first knots, and uniform targets
+        u = np.concatenate([np.zeros((n_rows, 1)), np.ones((n_rows, 1)),
+                            knots, knots[:, 1:3] * (1 + 1e-9),
+                            rng.uniform(size=(n_rows, 40))], axis=1)
+        _, F = cdfs_of_slices(dens, u.shape[1])
+        u = u.ravel()
+        t = F.invert(u)
+        reference = bisect_increasing(F.eval, u, 0.0, 1.0, 40)
+        assert np.max(np.abs(t - reference)) <= 1e-10
+        assert np.max(np.abs(F.eval(t) - u)) <= 1e-12
+
+    def test_endpoints_and_knots_exact(self, rng):
+        dens = self.slices(rng)
+        n_rows, n = dens.shape
+        table, F = cdfs_of_slices(dens, n)
+        nodes = np.tile(table.nodes, n_rows)
+        assert np.all(F.invert(np.zeros(len(nodes))) == 0.0)
+        assert np.all(F.invert(np.ones(len(nodes))) == 1.0)
+        # targets within invert's rounding allowance stay in [0, 1]
+        assert np.all(F.invert(np.full(len(nodes), -1e-13)) == 0.0)
+        assert np.all(F.invert(np.full(len(nodes), 1 + 1e-13)) == 1.0)
+        assert np.all(F.eval(np.zeros(len(nodes))) == 0.0)
+        assert np.all(F.eval(np.ones(len(nodes))) == 1.0)
+        np.testing.assert_allclose(F.invert(F.eval(nodes)), nodes,
+                                   rtol=0, atol=1e-12)
+
+    def test_slices_are_the_given_rows(self, rng):
+        dens = self.slices(rng)
+        _, F = cdfs_of_slices(dens, 1)
+        widths = np.diff(np.linspace(0, 1, dens.shape[1]))
+        cum = np.cumsum(widths * (dens[:, :-1] + dens[:, 1:]) / 2, axis=1)
+        np.testing.assert_array_equal(F._cum_rows[:, 1:], cum)
+
+
+class TestSliceTable:
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_blend_matches_interpolator(self, rng, k):
+        rho = GridDensity.from_function(
+            lambda X: 1 + 0.5 * np.sin(3 * X[:, 0] + 2 * X[:, 1])
+            + 0.3 * X[:, 2] * X[:, 0], (9, 7, 11))
+        marg = marginal(rho, k)
+        table = _SliceTable(marg)
+        prefix = np.concatenate([
+            rng.uniform(size=(40, k - 1)),
+            # grid nodes, the corners among them
+            np.stack([rng.choice(nodes, 20) for nodes in table.lead], -1),
+            np.stack([nodes[[0, -1, 0, -1]] for nodes in table.lead], -1),
+            # slightly outside: extrapolated from the boundary cell
+            rng.uniform(-0.05, 1.05, size=(20, k - 1))])
+        interp = RegularGridInterpolator(marg.nodes, marg.values,
+                                         bounds_error=False, fill_value=None)
+        t = table.nodes
+        pts = np.concatenate([np.repeat(prefix, len(t), axis=0),
+                              np.tile(t, len(prefix))[:, None]], axis=1)
+        expected = interp(pts).reshape(len(prefix), len(t))
+        F = table.at(prefix)
+        blended = np.einsum("pc,pcm->pm", F.weights, table.dens[F.rows])
+        np.testing.assert_allclose(blended, expected, rtol=1e-13)
+        cum = np.cumsum(np.diff(t) * (expected[:, :-1] + expected[:, 1:]) / 2,
+                        axis=1)
+        np.testing.assert_allclose(F._cum_rows[:, 1:], cum, rtol=1e-13)
+        np.testing.assert_allclose(F.total, cum[:, -1], rtol=1e-13)
+
+
 class TestKrMap:
     def test_identity(self, rng):
         rho = GridDensity.from_function(lambda X: 1 + 0.3 * X[:, 0], (128, 128))
@@ -149,6 +240,30 @@ class TestKrMap:
         fwd, back = kr_map(rho0, rho1), kr_map(rho1, rho0)
         X = rng.uniform(0.1, 0.9, size=(15, 2))
         np.testing.assert_allclose(back(fwd(X)), X, atol=1e-4)
+
+    def test_round_trip_3d(self, rng):
+        rho0 = GridDensity.from_function(
+            lambda X: 1 + 0.5 * X[:, 0] * X[:, 2] + 0.3 * X[:, 1], (9, 7, 11))
+        rho1 = GridDensity.from_function(
+            lambda X: 1 + 0.8 * np.exp(-8 * np.sum((X - 0.5) ** 2, axis=1)),
+            (9, 7, 11))
+        fwd, back = kr_map(rho0, rho1), kr_map(rho1, rho0)
+        X = np.concatenate([rng.uniform(size=(500, 3)),
+                            rng.integers(0, 2, size=(8, 3)).astype(float)])
+        Y = fwd(X)
+        assert np.all((Y >= 0) & (Y <= 1))
+        np.testing.assert_allclose(back(Y), X, rtol=0, atol=1e-12)
+
+    def test_kr_target_fixes_the_boundary_exactly(self, rng):
+        fn = get_target("kr").fn
+        s = rng.uniform(size=50)
+        for axis in (0, 1):
+            for end in (0.0, 1.0):
+                X = np.column_stack([s, s])
+                X[:, axis] = end
+                assert np.all(fn(X)[:, axis] == end)
+        corners = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(fn(corners), corners)
 
     def test_chunk_boundary_rows_match_single_rows(self, rng):
         rho1 = GridDensity.from_function(
