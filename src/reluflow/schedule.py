@@ -67,23 +67,28 @@ def _is_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
 
 
+# the JSON value kinds that ``json_key`` checks: (description, test)
+_JSON_KINDS = {
+    "integer": ("an integer",
+                lambda v: isinstance(v, numbers.Integral) and _is_number(v)),
+    "number": ("a number", _is_number),
+    "vector": ("a 1-d list of numbers",
+               lambda v: isinstance(v, (list, tuple))
+               and all(map(_is_number, v))),
+}
+
+
 def json_key(data: dict, key: str, where: str, kind: str = None):
     """``data[key]``, checked to be present and, for ``kind`` "integer",
     "number" or "vector", to be an integer, a number or a 1-d list of
     numbers; the ValueError names ``where`` and the key."""
     if key not in data:
         raise ValueError(f"{where}: missing key {key!r}")
-    value = data[key]
-    ok = {None: True,
-          "integer": isinstance(value, numbers.Integral) and _is_number(value),
-          "number": _is_number(value),
-          "vector": isinstance(value, (list, tuple))
-                    and all(map(_is_number, value))}[kind]
-    if not ok:
-        what = {"integer": "an integer", "number": "a number",
-                "vector": "a 1-d list of numbers"}[kind]
-        raise ValueError(f'{where}: "{key}" must be {what}')
-    return value
+    if kind is not None:
+        what, ok = _JSON_KINDS[kind]
+        if not ok(data[key]):
+            raise ValueError(f'{where}: "{key}" must be {what}')
+    return data[key]
 
 
 def json_rows(rows, where: str, kinds: dict = None) -> list:
