@@ -17,6 +17,11 @@ triangulated box, build:
 On each simplex both affine maps agree with phi at d+1 affinely independent
 points, hence m2 ∘ g ∘ m1 = phi exactly (up to roundoff) on the whole
 domain.
+
+The construction is array code over all M cells at once: the tower, both
+cell maps and the profile are built from (M, d+1, d) vertex stacks with one
+``affine_through`` batch per cell map.  Only ``CellMap.eval_points`` loops
+over cells, because the swap rule lets the first containing cell win.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from reluflow.compressible import MonotoneProfile, eval_profile
-from reluflow.mesh import PiecewiseAffineMap, Simplex, validate_homeomorphism
+from reluflow.mesh import (PiecewiseAffineMap, affine_through, in_simplex,
+                           simplex_edges, simplex_volumes,
+                           validate_homeomorphism)
 
 
 class FactorizationError(ValueError):
@@ -42,45 +49,39 @@ class CellMap:
     measure-preserving bijection away from the (null) cell boundaries.
     """
 
-    sources: tuple      # Simplex per cell
-    targets: tuple      # Simplex per cell (images of sources)
-    A: np.ndarray       # (M, d, d)
-    b: np.ndarray       # (M, d)
+    sources: np.ndarray     # (M, d+1, d) vertices per cell
+    targets: np.ndarray     # (M, d+1, d) vertices of the images of sources
+    A: np.ndarray           # (M, d, d)
+    b: np.ndarray           # (M, d)
 
     def __post_init__(self):
-        A_inv = np.linalg.inv(self.A) if len(self.sources) else np.empty_like(self.A)
-        object.__setattr__(self, "_A_inv", A_inv)
+        object.__setattr__(self, "_A_inv", np.linalg.inv(self.A))
+        object.__setattr__(self, "_src_inv",
+                           np.linalg.inv(simplex_edges(self.sources)))
+        object.__setattr__(self, "_tgt_inv",
+                           np.linalg.inv(simplex_edges(self.targets)))
 
     @property
     def n_cells(self) -> int:
         return len(self.sources)
 
     def eval_points(self, X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+        """Cell by cell, source before target: the first containing cell wins."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = X.copy()
-        done = np.zeros(X.shape[0], dtype=bool)
+        todo = np.arange(len(X))
         for j in range(self.n_cells):
-            todo = ~done
-            if not todo.any():
+            if not len(todo):
                 break
-            hit = np.zeros_like(done)
-            hit[todo] = self.sources[j].contains(X[todo], tol)
-            if hit.any():
-                out[hit] = X[hit] @ self.A[j].T + self.b[j]
-                done |= hit
-            todo = ~done
-            if not todo.any():
-                break
-            hit = np.zeros_like(done)
-            hit[todo] = self.targets[j].contains(X[todo], tol)
-            if hit.any():
-                out[hit] = (X[hit] - self.b[j]) @ self._A_inv[j].T
-                done |= hit
+            hit = in_simplex(X[todo], self.sources[j], self._src_inv[j], tol)
+            rows = todo[hit]
+            out[rows] = X[rows] @ self.A[j].T + self.b[j]
+            todo = todo[~hit]
+            hit = in_simplex(X[todo], self.targets[j], self._tgt_inv[j], tol)
+            rows = todo[hit]
+            out[rows] = (X[rows] - self.b[j]) @ self._A_inv[j].T
+            todo = todo[~hit]
         return out
-
-
-def eval_cell_map(m: CellMap, x) -> np.ndarray:
-    return m.eval_points(np.asarray(x, dtype=float)[None, :])[0]
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,6 @@ class TowerLayout:
     ref_vertices: np.ndarray      # (d+1, d) unit-volume reference simplex
     s: np.ndarray                 # side scales V_j^{1/d}
     H: np.ndarray                 # prefix sums: interval starts are L + H_j
-    tower_simplices: tuple        # Simplex per cell
 
     @property
     def intervals(self) -> np.ndarray:
@@ -126,21 +126,16 @@ def _reference_simplex(d: int) -> np.ndarray:
     Start from the first-orthant Kuhn simplex (vertices 0, e1, e1+e2, ...)
     and scale coordinates 2..d by (d!)^{1/(d-1)} to normalize the volume.
     """
-    V = np.zeros((d + 1, d))
-    for i in range(1, d + 1):
-        V[i] = V[i - 1]
-        V[i, i - 1] += 1.0
+    V = np.tril(np.ones((d + 1, d)), -1)
     if d > 1:
         V[:, 1:] *= math.factorial(d) ** (1.0 / (d - 1))
     return V
 
 
-def _affine_through(P: np.ndarray, Q: np.ndarray):
-    """The unique affine map with P_i -> Q_i for d+1 independent points."""
-    E = (P[1:] - P[0]).T
-    F = (Q[1:] - Q[0]).T
-    A = F @ np.linalg.inv(E)
-    return A, Q[0] - A @ P[0]
+def _first_failure(bad: np.ndarray, what: str, value: np.ndarray):
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise FactorizationError(f"cell {j}: {what} = {value[j]:.6g} != 1")
 
 
 def polar_factorize(pa_map: PiecewiseAffineMap) -> Factorization:
@@ -152,78 +147,53 @@ def polar_factorize(pa_map: PiecewiseAffineMap) -> Factorization:
             f"(+{report.n_positive}/-{report.n_negative}/0:{report.n_near_zero})")
     tri = pa_map.triangulation
     d = tri.d
-    M = tri.n_simplices
+    src = tri.vertices[tri.simplices]                    # (M, d+1, d)
 
-    volumes = np.array([tri.simplex(j).volume for j in range(M)])
     lam = pa_map.dets()
-    s = volumes ** (1.0 / d)
+    s = simplex_volumes(src) ** (1.0 / d)
     H = np.concatenate([[0.0], np.cumsum(s)[:-1]])
 
     # tower offset: beyond the x1 extent of the domain and the image
     image_vertices = pa_map.eval_points(tri.vertices)
     x1_max = max(tri.domain.upper[0], float(image_vertices[:, 0].max()))
-    extent = float(np.max(tri.domain.sides))
-    L = x1_max + max(2.0, extent)
+    L = x1_max + max(2.0, float(np.max(tri.domain.sides)))
+    starts = L + H
 
     ref = _reference_simplex(d)
-    e1 = np.zeros(d)
-    e1[0] = 1.0
+    e1 = np.eye(d)[0]
+    tower = s[:, None, None] * ref + starts[:, None, None] * e1
 
-    sourcesA, targetsA, As1, bs1 = [], [], [], []
-    sources2, targets2, As2, bs2 = [], [], [], []
-    tower = []
-    # profile: identity below the tower, slope lambda_j on I_j, identity above
-    breaks = [L - 1.0, L]
-    slopes = [1.0]
-    g_start = L     # psi'(L + H_j), updated as intervals accumulate
+    # volume-preserving B_j with det +1: swap the last two tower labels of
+    # the cells where the plain vertex pairing reverses orientation
+    order = np.tile(np.arange(d + 1), (len(src), 1))
+    flip = np.linalg.det(affine_through(src, tower)[0]) < 0
+    order[flip, d - 1:] = [d, d - 1]
+    P = np.take_along_axis(tower, order[:, :, None], axis=1)
+    A1, b1 = affine_through(src, P)
+    det1 = np.abs(np.linalg.det(A1))
+    _first_failure(np.abs(det1 - 1.0) > 1e-8, "|det B|", det1)
 
-    for j in range(M):
-        src = tri.simplex(j)
-        Vt = s[j] * ref + (L + H[j]) * e1
-        tower.append(Simplex(Vt))
-        # volume-preserving B_j with det +1 (swap two target labels if needed)
-        A1, b1 = _affine_through(src.vertices, Vt)
-        order = np.arange(d + 1)
-        if np.linalg.det(A1) < 0:
-            order[[d - 1, d]] = order[[d, d - 1]]
-            A1, b1 = _affine_through(src.vertices, Vt[order])
-        det1 = np.linalg.det(A1)
-        if abs(abs(det1) - 1.0) > 1e-8:
-            raise FactorizationError(f"cell {j}: |det B| = {abs(det1):.3g} != 1")
-        sourcesA.append(src)
-        targetsA.append(tower[-1])
-        As1.append(A1)
-        bs1.append(b1)
+    # C_j: g(B_j v_i) -> phi(v_i), forced by the vertex pairing; g is affine
+    # with slope lambda_j on the closed interval I_j, which starts at g_start
+    g_start = np.cumsum(np.concatenate([[L], lam * s]))[:-1]
+    Pg = P.copy()
+    Pg[..., 0] = lam[:, None] * (P[..., 0] - starts[:, None]) + g_start[:, None]
+    Q = src @ np.swapaxes(pa_map.A, 1, 2) + pa_map.b[:, None]
+    A2, b2 = affine_through(Pg, Q)
+    det2 = np.linalg.det(A2)
+    _first_failure(np.abs(det2 - 1.0) > 1e-6, "det C", det2)
 
-        slopes.append(lam[j])
-        breaks.append(L + H[j] + s[j])
+    # profile: identity below the tower, slope lambda_j on I_j, identity
+    # above; beta0 = 0 with slope 1 on the first piece makes psi'(x) = x
+    # below L
+    ends = starts + s
+    breaks = np.concatenate([[L - 1.0, L], ends, [ends[-1] + 1.0]])
+    slopes = np.concatenate([[1.0], lam, [1.0]])
+    profile = MonotoneProfile(breaks, slopes, beta0=0.0)
 
-        # C_j: g(B_j v_i) -> phi(v_i), forced by the vertex pairing
-        P = Vt[order].copy()
-        Q = pa_map.A[j] @ src.vertices.T
-        Q = Q.T + pa_map.b[j]
-        # apply g to the tower vertices (affine on the closed interval I_j)
-        Pg = P.copy()
-        Pg[:, 0] = lam[j] * (P[:, 0] - (L + H[j])) + g_start
-        g_start += lam[j] * s[j]
-        A2, b2 = _affine_through(Pg, Q)
-        det2 = np.linalg.det(A2)
-        if abs(det2 - 1.0) > 1e-6:
-            raise FactorizationError(f"cell {j}: det C = {det2:.6g} != +1")
-        sources2.append(Simplex(Pg))
-        targets2.append(Simplex(Q))
-        As2.append(A2)
-        bs2.append(b2)
-
-    breaks.append(breaks[-1] + 1.0)
-    slopes.append(1.0)
-    # beta0 = 0 with slope 1 on the first piece makes psi'(x) = x below L
-    profile = MonotoneProfile(np.asarray(breaks), np.asarray(slopes), beta0=0.0)
-
-    layout = TowerLayout(L, ref, s, H, tuple(tower))
-    m1 = CellMap(tuple(sourcesA), tuple(targetsA), np.array(As1), np.array(bs1))
-    m2 = CellMap(tuple(sources2), tuple(targets2), np.array(As2), np.array(bs2))
-    return Factorization(m1, profile, m2, layout, lam)
+    layout = TowerLayout(L, ref, s, H)
+    return Factorization(CellMap(src, tower, A1, b1), profile,
+                         CellMap(Pg, Q, A2, b2), layout, lam)
 
 
 def check_factorization(pa_map: PiecewiseAffineMap, f: Factorization,
@@ -231,13 +201,7 @@ def check_factorization(pa_map: PiecewiseAffineMap, f: Factorization,
     """Max |m2(g(m1(x))) - phi(x)| over random interior samples."""
     rng = np.random.default_rng(seed)
     tri = pa_map.triangulation
-    M = tri.n_simplices
-    per = max(n_samples // M, 1)
-    worst = 0.0
-    for j in range(M):
-        simplex = tri.simplex(j)
-        lam = rng.dirichlet(np.ones(tri.d + 1), size=per)
-        X = lam @ simplex.vertices
-        err = np.abs(f.eval_points(X) - pa_map.eval_points(X)).max()
-        worst = max(worst, float(err))
-    return worst
+    per = max(n_samples // tri.n_simplices, 1)
+    weights = rng.dirichlet(np.ones(tri.d + 1), size=(tri.n_simplices, per))
+    X = (weights @ tri.vertices[tri.simplices]).reshape(-1, tri.d)
+    return float(np.abs(f.eval_points(X) - pa_map.eval_points(X)).max())

@@ -29,7 +29,6 @@ identically zero.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +68,7 @@ class CubeGrid:
         return self.n ** self.d
 
     def all_indices(self) -> np.ndarray:
-        return np.array(list(itertools.product(range(self.n), repeat=self.d)),
-                        dtype=int)
+        return grid_points([np.arange(self.n)] * self.d)
 
     def flat(self, idx) -> int:
         return int(np.ravel_multi_index(tuple(np.asarray(idx)), (self.n,) * self.d))
@@ -164,46 +162,38 @@ def mp_to_permutation(m, grid: CubeGrid, active=None) -> tuple:
     known to be the identity; cubes not touching them are fixed without
     evaluation.  Returns (Permutation, bad_flat_indices).
     """
-    offsets = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=grid.d)))
+    offsets = grid_points([np.array([-1.0, 0.0, 1.0])] * grid.d)
     offsets *= (grid.h - grid.delta) / 4.0
-    n = grid.n_cubes
+    sigma = np.arange(grid.n_cubes)
     act = _active_cubes(grid, active)
-    sigma = np.arange(n)
-    bad = []
-    if len(act):
-        act_flat = np.ravel_multi_index(act.T, (grid.n,) * grid.d)
-        centers = -grid.L + act * grid.h + (grid.h - grid.delta) / 2.0
-        pts = (centers[:, None, :] + offsets[None, :, :]).reshape(-1, grid.d)
-        img = np.atleast_2d(np.asarray(m(pts), dtype=float))
-        cores = grid.locate_core(img).reshape(len(act), -1)
+    if not len(act):
+        return Permutation(sigma), []
+    act_flat = np.ravel_multi_index(act.T, (grid.n,) * grid.d)
+    centers = -grid.L + act * grid.h + (grid.h - grid.delta) / 2.0
+    pts = (centers[:, None, :] + offsets[None, :, :]).reshape(-1, grid.d)
+    img = np.atleast_2d(np.asarray(m(pts), dtype=float))
+    cores = grid.locate_core(img).reshape(len(act), -1)
 
-        act_set = set(int(i) for i in act_flat)
-        good_src, good_tgt = [], []
-        seen = {}
-        for row in range(len(act)):
-            i = int(act_flat[row])
-            c = cores[row]
-            if c[0] >= 0 and np.all(c == c[0]):
-                j = int(c[0])
-                if j in seen:
-                    raise PermutationConflictError(
-                        f"cubes {seen[j]} and {i} both map into core {j} "
-                        "(grid too coarse for this map)")
-                if j not in act_set and j != i:
-                    raise PermutationConflictError(
-                        f"cube {i} maps into core {j}, which is fixed "
-                        "outside the active region")
-                seen[j] = i
-                good_src.append(i)
-                good_tgt.append(j)
-            else:
-                bad.append(i)
-        free_targets = sorted(act_set - set(good_tgt))
-        if good_src:
-            sigma[good_src] = good_tgt
-        if bad:
-            sigma[sorted(bad)] = free_targets
-    return Permutation(sigma), bad
+    good = (cores[:, 0] >= 0) & np.all(cores == cores[:, :1], axis=1)
+    src, tgt = act_flat[good], cores[good, 0]
+    # conflicts in row order: a core claimed twice, or a fixed core claimed
+    _, first = np.unique(tgt, return_index=True)
+    repeat = np.ones(len(tgt), dtype=bool)
+    repeat[first] = False
+    escape = ~np.isin(tgt, act_flat) & (tgt != src)
+    if np.any(repeat | escape):
+        r = int(np.argmax(repeat | escape))
+        if repeat[r]:
+            raise PermutationConflictError(
+                f"cubes {src[np.argmax(tgt == tgt[r])]} and {src[r]} both map "
+                f"into core {tgt[r]} (grid too coarse for this map)")
+        raise PermutationConflictError(
+            f"cube {src[r]} maps into core {tgt[r]}, which is fixed "
+            "outside the active region")
+    sigma[src] = tgt
+    bad = act_flat[~good]
+    sigma[bad] = np.setdiff1d(act_flat, tgt)
+    return Permutation(sigma), bad.tolist()
 
 
 def _mixed_radix(idx: np.ndarray, skip: int, n: int) -> np.ndarray:
@@ -308,8 +298,10 @@ def mp_realize(m, grid: CubeGrid, p: float = 2.0,
     moved_idx = np.array(np.unravel_index(moved, (grid.n,) * grid.d)).T
     eval_idx = np.unique(np.vstack([act, moved_idx.reshape(-1, grid.d)]),
                          axis=0)
-    pts = np.vstack([grid.sample_core(idx, rng, samples_per_core)
-                     for idx in eval_idx])
+    lo = -grid.L + eval_idx[:, None, :] * grid.h
+    pts = rng.uniform(lo, lo + (grid.h - grid.delta),
+                      size=(len(eval_idx), samples_per_core, grid.d))
+    pts = pts.reshape(-1, grid.d)
     target = np.atleast_2d(np.asarray(m(pts), dtype=float))
     flowed, _ = flow_points(pts, sched)
     core_vol = len(eval_idx) * (grid.h - grid.delta) ** grid.d

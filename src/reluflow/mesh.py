@@ -4,18 +4,23 @@ A box is cut into a uniform grid of cells and each cell into d! Kuhn
 (Freudenthal) simplices: the simplex of a permutation pi consists of the
 points whose local cell coordinates satisfy t_{pi(0)} >= ... >= t_{pi(d-1)}.
 This triangulation is face-compatible across cells, and point location is a
-closed-form operation (cell index + argsort of local coordinates).
+closed-form operation (cell index + the rank of the argsort of the local
+coordinates).
 
-A vertex-sampled map is interpolated by the unique affine map per simplex
-through the d+1 vertex values, giving a piecewise-affine approximation of a
-smooth diffeomorphism with O(h^2) sup error.
+Everything is stored as arrays: a triangulation is a vertex table (V, d)
+and index rows (M, d+1); a stack of simplices is an (M, d+1, d) array of
+vertex rows, from which ``simplex_edges``, ``simplex_volumes`` and
+``affine_through`` work in one batch.  A vertex-sampled map is interpolated
+by the unique affine map per simplex through the d+1 vertex values, giving
+a piecewise-affine approximation of a smooth diffeomorphism with O(h^2) sup
+error.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,54 +62,48 @@ class RectDomain:
         return rng.uniform(self.lower, self.upper, size=(n, self.d))
 
 
-@dataclass(frozen=True)
-class Simplex:
-    """A nondegenerate d-simplex given by its d+1 vertices (rows)."""
+def simplex_edges(V: np.ndarray) -> np.ndarray:
+    """Edge matrices (..., d, d) of simplices V (..., d+1, d): columns v_i - v_0."""
+    return np.swapaxes(V[..., 1:, :] - V[..., :1, :], -1, -2)
 
-    vertices: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", np.asarray(self.vertices, dtype=float))
-        if abs(self.signed_volume) <= 0.0:
-            raise ValueError("degenerate simplex")
+def simplex_volumes(V: np.ndarray) -> np.ndarray:
+    """Volumes (M,) of the simplices V (M, d+1, d)."""
+    return np.abs(np.linalg.det(simplex_edges(V))) / math.factorial(V.shape[-1])
 
-    @property
-    def d(self) -> int:
-        return self.vertices.shape[1]
 
-    @property
-    def edges(self) -> np.ndarray:
-        """Columns v_i - v_0, i = 1..d."""
-        return (self.vertices[1:] - self.vertices[0]).T
+def in_simplex(X: np.ndarray, V: np.ndarray, E_inv: np.ndarray,
+               tol: float) -> np.ndarray:
+    """Mask of the points X (N, d) in the simplex V (d+1, d) within tol in
+    barycentric coordinates; E_inv is the inverse of its edge matrix."""
+    lam = (X - V[0]) @ E_inv.T
+    return np.all(lam >= -tol, axis=1) & (1.0 - lam.sum(axis=1) >= -tol)
 
-    @property
-    def signed_volume(self) -> float:
-        return float(np.linalg.det(self.edges)) / math.factorial(self.d)
 
-    @property
-    def volume(self) -> float:
-        return abs(self.signed_volume)
+def affine_through(P: np.ndarray, Q: np.ndarray):
+    """Per simplex m, the affine map x -> A_m x + b_m with P_mi -> Q_mi.
 
-    def barycentric(self, X: np.ndarray) -> np.ndarray:
-        """Barycentric coordinates (N, d+1) of points (N, d)."""
-        X = np.atleast_2d(X)
-        lam = np.linalg.solve(self.edges, (X - self.vertices[0]).T).T
-        return np.column_stack([1.0 - lam.sum(axis=1), lam])
-
-    def contains(self, X: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        return np.all(self.barycentric(X) >= -tol, axis=1)
+    P and Q are (M, d+1, d) stacks of affinely independent points; returns
+    A (M, d, d) and b (M, d).
+    """
+    A = simplex_edges(Q) @ np.linalg.inv(simplex_edges(P))
+    return A, Q[:, 0] - (A @ P[:, 0, :, None])[..., 0]
 
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Kuhn triangulation of a box: shared vertex table + index tuples."""
+    """Kuhn triangulation of a box: shared vertex table + index rows.
+
+    Simplex j = c d! + r is the r-th permutation, in lexicographic order, of
+    cell c (C order): its vertices walk the cell's corners along that
+    permutation of the axes.
+    """
 
     domain: RectDomain
     vertices: np.ndarray          # (V, d)
     simplices: np.ndarray         # (M, d+1) int indices into vertices
     cells: np.ndarray             # per-axis cell counts, shape (d,)
     h: np.ndarray                 # per-axis cell pitch, shape (d,)
-    _perm_rank: dict = field(repr=False, default_factory=dict)
 
     @property
     def d(self) -> int:
@@ -114,25 +113,25 @@ class Triangulation:
     def n_simplices(self) -> int:
         return self.simplices.shape[0]
 
-    def simplex(self, j: int) -> Simplex:
-        return Simplex(self.vertices[self.simplices[j]])
-
     def locate(self, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         """Containing simplex index per point; raises if any point is outside."""
         X = np.atleast_2d(X)
-        if not np.all(self.domain.contains(X, tol)):
-            bad = np.where(~self.domain.contains(X, tol))[0]
+        inside = self.domain.contains(X, tol)
+        if not np.all(inside):
+            bad = np.where(~inside)[0]
             raise ValueError(f"points outside domain at rows {bad[:5].tolist()}")
         d = self.d
         rel = (X - self.domain.lower) / self.h
         cell = np.clip(np.floor(rel).astype(int), 0, self.cells - 1)
         t = rel - cell
-        # descending order of local coordinates identifies the Kuhn simplex
+        # descending order of local coordinates identifies the Kuhn simplex;
+        # its lexicographic rank is the Lehmer code read in factorial base
         order = np.argsort(-t, axis=1, kind="stable")
-        fact = math.factorial(d)
-        cell_flat = np.ravel_multi_index(cell.T, self.cells)
-        local = np.array([self._perm_rank[tuple(o)] for o in order])
-        return cell_flat * fact + local
+        rank = np.zeros(len(X), dtype=int)
+        for i in range(d - 1):
+            smaller = np.sum(order[:, i + 1:] < order[:, i:i + 1], axis=1)
+            rank += smaller * math.factorial(d - 1 - i)
+        return np.ravel_multi_index(cell.T, self.cells) * math.factorial(d) + rank
 
 
 def kuhn_triangulate(domain: RectDomain, h: float) -> Triangulation:
@@ -147,28 +146,18 @@ def kuhn_triangulate(domain: RectDomain, h: float) -> Triangulation:
     sides = domain.sides
     cells = np.maximum(np.ceil(sides / h - 1e-9).astype(int), 1)
     pitch = sides / cells
-    # vertex lattice
     vertices = grid_points([domain.lower[k] + pitch[k] * np.arange(cells[k] + 1)
                             for k in range(d)])
-    vshape = tuple(cells + 1)
-
-    perms = list(itertools.permutations(range(d)))
-    perm_rank = {p: i for i, p in enumerate(perms)}
-
-    # per cell, per permutation: walk the cube corners along the permutation
-    simplices = []
-    for cidx in itertools.product(*[range(n) for n in cells]):
-        base = np.array(cidx)
-        for p in perms:
-            corner = base.copy()
-            idx = [np.ravel_multi_index(tuple(corner), vshape)]
-            for axis in p:
-                corner = corner.copy()
-                corner[axis] += 1
-                idx.append(np.ravel_multi_index(tuple(corner), vshape))
-            simplices.append(idx)
-    return Triangulation(domain, vertices, np.asarray(simplices, dtype=int),
-                         cells, pitch, perm_rank)
+    # corner offsets (d!, d+1, d): walk from 0 along each permutation's axes
+    perms = np.array(list(itertools.permutations(range(d))), dtype=int)
+    steps = np.cumsum(np.eye(d, dtype=int)[perms], axis=1)
+    offsets = np.concatenate([np.zeros((len(perms), 1, d), dtype=int), steps],
+                             axis=1)
+    base = grid_points([np.arange(n) for n in cells])
+    corners = base[:, None, None, :] + offsets[None]
+    simplices = np.ravel_multi_index(np.moveaxis(corners, -1, 0), cells + 1)
+    return Triangulation(domain, vertices, simplices.reshape(-1, d + 1),
+                         cells, pitch)
 
 
 @dataclass(frozen=True)
@@ -206,27 +195,8 @@ def lagrange_interpolate(f, tri: Triangulation) -> PiecewiseAffineMap:
         raise ValueError("vertex values must have shape (n_vertices, d)")
     if not np.all(np.isfinite(values)):
         raise ValueError("vertex values must be finite")
-    M = tri.n_simplices
-    d = tri.d
-    A = np.empty((M, d, d))
-    b = np.empty((M, d))
-    for j in range(M):
-        idx = tri.simplices[j]
-        V = tri.vertices[idx]
-        F = values[idx]
-        E = (V[1:] - V[0]).T
-        G = (F[1:] - F[0]).T
-        try:
-            A[j] = G @ np.linalg.inv(E)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError(f"degenerate simplex {j}") from exc
-        b[j] = F[0] - A[j] @ V[0]
+    A, b = affine_through(tri.vertices[tri.simplices], values[tri.simplices])
     return PiecewiseAffineMap(tri, A, b)
-
-
-def eval_pa_map(pa_map: PiecewiseAffineMap, x) -> np.ndarray:
-    """Evaluate at a single point (point location + affine evaluation)."""
-    return pa_map.eval_points(np.asarray(x, dtype=float)[None, :])[0]
 
 
 @dataclass(frozen=True)

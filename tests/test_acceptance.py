@@ -144,8 +144,7 @@ def test_criterion_4_factorization_reproduces_interpolant():
             dets = np.abs(np.linalg.det(A))
             assert np.abs(dets - 1.0).max() <= 1e-10, name
         pts = [tri.vertices]
-        pts.append(np.array([tri.simplex(j).vertices.mean(axis=0)
-                             for j in range(tri.n_simplices)]))
+        pts.append(tri.vertices[tri.simplices].mean(axis=1))
         X = np.vstack(pts)
         err = np.abs(fact.eval_points(X) - pa.eval_points(X)).max()
         assert err <= 1e-8, f"{name}: factorization error {err}"

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,10 +56,10 @@ class TestRealizeCommand:
                       {"target": "profile1d", "resolution": 16},
                       out_name="report.json")
         path = json.loads(text)["schedule_file"]
-        original = open(path).read()
+        original = Path(path).read_text()
         sched = ControlSchedule.load(path)
         sched.save(str(tmp_path / "again.json"))
-        assert open(tmp_path / "again.json").read() == original
+        assert (tmp_path / "again.json").read_text() == original
 
 
 class TestDeterminism:

@@ -5,16 +5,21 @@ from reluflow.compressible import eval_profile
 from reluflow.factorize import (
     FactorizationError,
     check_factorization,
-    eval_cell_map,
     polar_factorize,
 )
 from reluflow.mesh import (
     RectDomain,
+    in_simplex,
     kuhn_triangulate,
     lagrange_interpolate,
+    simplex_edges,
+    simplex_volumes,
 )
 
 UNIT_SQUARE = RectDomain([0.0, 0.0], [1.0, 1.0])
+UNIT_CUBE = RectDomain([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+AFFINE_3D = (np.array([[1.1, 0.2, 0.0], [-0.1, 0.9, 0.3], [0.05, 0.0, 1.2]]),
+             np.array([0.05, -0.1, 0.2]))
 
 
 def sine_shear(X):
@@ -76,16 +81,17 @@ class TestPolarFactorize:
         assert np.all(np.abs(iv[1:, 0] - iv[:-1, 1]) <= 1e-12)
         # tower volumes match source volumes
         tri = pa.triangulation
-        for j, T in enumerate(f.layout.tower_simplices):
-            assert T.volume == pytest.approx(tri.simplex(j).volume, abs=1e-10)
+        np.testing.assert_allclose(simplex_volumes(f.m1.targets),
+                                   simplex_volumes(tri.vertices[tri.simplices]),
+                                   rtol=0, atol=1e-10)
 
     def test_volume_ledger(self):
         pa = interpolant(sine_shear, h=0.25)
         f = polar_factorize(pa)
         tri = pa.triangulation
-        img = sum(abs(np.linalg.det(pa.A[j])) * tri.simplex(j).volume
-                  for j in range(tri.n_simplices))
-        ghat = sum(S.volume for S in f.m2.sources)
+        img = np.sum(np.abs(np.linalg.det(pa.A))
+                     * simplex_volumes(tri.vertices[tri.simplices]))
+        ghat = simplex_volumes(f.m2.sources).sum()
         assert ghat == pytest.approx(img, abs=1e-9)
 
 
@@ -94,7 +100,7 @@ class TestEvalCellMap:
         pa = interpolant(sine_shear, h=0.5)
         f = polar_factorize(pa)
         x = np.array([-5.0, -5.0])
-        np.testing.assert_array_equal(eval_cell_map(f.m1, x), x)
+        np.testing.assert_array_equal(f.m1.eval_points(x[None])[0], x)
 
     def test_vertices_map_to_tower(self):
         # the affine part of cell j carries its simplex vertices onto the
@@ -103,13 +109,16 @@ class TestEvalCellMap:
         pa = interpolant(sine_shear, h=1.0)
         f = polar_factorize(pa)
         tri = pa.triangulation
+        tower = f.m1.targets
+        tower_inv = np.linalg.inv(simplex_edges(tower))
         for j in range(tri.n_simplices):
-            img = tri.simplex(j).vertices @ f.m1.A[j].T + f.m1.b[j]
-            assert np.all(f.layout.tower_simplices[j].contains(img, tol=1e-9))
+            vertices = tri.vertices[tri.simplices[j]]
+            img = vertices @ f.m1.A[j].T + f.m1.b[j]
+            assert np.all(in_simplex(img, tower[j], tower_inv[j], tol=1e-9))
             # interior points route correctly through the swap rule too
-            bary = tri.simplex(j).vertices.mean(axis=0)
+            bary = vertices.mean(axis=0)
             img2 = f.m1.eval_points(bary[None], tol=1e-9)
-            assert f.layout.tower_simplices[j].contains(img2, tol=1e-9)[0]
+            assert in_simplex(img2, tower[j], tower_inv[j], tol=1e-9)[0]
 
     def test_involution(self, rng):
         pa = interpolant(sine_shear, h=0.5)
@@ -121,6 +130,19 @@ class TestEvalCellMap:
         Y = f.m1.eval_points(X, tol=1e-9)
         Z = f.m1.eval_points(Y, tol=1e-9)
         assert np.max(np.abs(Z - X)) <= 1e-10
+
+    def test_involution_3d(self, rng):
+        M, c = AFFINE_3D
+        pa = interpolant(lambda X: X @ M.T + c, h=0.5, domain=UNIT_CUBE)
+        assert pa.triangulation.n_simplices == 48
+        f = polar_factorize(pa)
+        X = np.vstack([
+            rng.uniform(0, 1, size=(1000, 3)),
+            rng.uniform(-3, 12, size=(1000, 3)),
+        ])
+        Y = f.m1.eval_points(X, tol=1e-9)
+        Z = f.m1.eval_points(Y, tol=1e-9)
+        assert np.max(np.abs(Z - X)) <= 1e-12
 
 
 class TestCheckFactorization:
@@ -136,6 +158,13 @@ class TestCheckFactorization:
         f = polar_factorize(pa)
         assert check_factorization(pa, f, 1000) <= 1e-9
 
+    def test_affine_map_3d(self):
+        M, c = AFFINE_3D
+        pa = interpolant(lambda X: X @ M.T + c, h=0.5, domain=UNIT_CUBE)
+        assert pa.triangulation.n_simplices == 48
+        f = polar_factorize(pa)
+        assert check_factorization(pa, f, 2000) <= 1e-12
+
     def test_sine_shear_interior(self):
         pa = interpolant(sine_shear, h=0.25)
         f = polar_factorize(pa)
@@ -145,7 +174,6 @@ class TestCheckFactorization:
         pa = interpolant(sine_shear, h=0.25)
         f = polar_factorize(pa)
         tri = pa.triangulation
-        bary = np.array([tri.simplex(j).vertices.mean(axis=0)
-                         for j in range(tri.n_simplices)])
+        bary = tri.vertices[tri.simplices].mean(axis=1)
         err = np.abs(f.eval_points(bary) - pa.eval_points(bary))
         assert err.max() <= 1e-8

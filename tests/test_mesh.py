@@ -6,10 +6,11 @@ import pytest
 from reluflow.mesh import (
     PiecewiseAffineMap,
     RectDomain,
-    Simplex,
-    eval_pa_map,
+    in_simplex,
     kuhn_triangulate,
     lagrange_interpolate,
+    simplex_edges,
+    simplex_volumes,
     validate_homeomorphism,
 )
 
@@ -33,7 +34,7 @@ class TestKuhnTriangulate:
     def test_area_partition(self):
         tri = kuhn_triangulate(UNIT_SQUARE, 0.5)
         assert tri.n_simplices == 8
-        total = sum(tri.simplex(j).volume for j in range(tri.n_simplices))
+        total = simplex_volumes(tri.vertices[tri.simplices]).sum()
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_h_shrunk_to_divisor(self):
@@ -43,16 +44,22 @@ class TestKuhnTriangulate:
 
     def test_volume_partition_3d(self):
         tri = kuhn_triangulate(RectDomain([-1, 0, 2], [1, 1, 3]), 0.5)
-        total = sum(tri.simplex(j).volume for j in range(tri.n_simplices))
+        total = simplex_volumes(tri.vertices[tri.simplices]).sum()
         assert total == pytest.approx(tri.domain.volume, abs=1e-10)
 
-    def test_locate_matches_brute_force(self, rng):
-        tri = kuhn_triangulate(UNIT_SQUARE, 0.5)
-        X = rng.uniform(0, 1, size=(200, 2))
+    @pytest.mark.parametrize("domain", [
+        pytest.param(UNIT_SQUARE, id="2d"),
+        pytest.param(RectDomain([-1, 0, 2], [1, 1, 3]), id="3d"),
+    ])
+    def test_locate_matches_brute_force(self, rng, domain):
+        tri = kuhn_triangulate(domain, 0.5)
+        V = tri.vertices[tri.simplices]
+        E_inv = np.linalg.inv(simplex_edges(V))
+        X = domain.sample(rng, 200)
         found = tri.locate(X)
         for i, x in enumerate(X):
             hits = [j for j in range(tri.n_simplices)
-                    if tri.simplex(j).contains(x[None], tol=1e-12)[0]]
+                    if in_simplex(x[None], V[j], E_inv[j], tol=1e-12)[0]]
             assert found[i] in hits
 
     def test_face_continuity(self, rng):
@@ -114,16 +121,17 @@ class TestEvalPaMap:
         tri = kuhn_triangulate(UNIT_SQUARE, 0.5)
         pa = lagrange_interpolate(sine_shear, tri)
         for j in range(tri.n_simplices):
-            simplex = tri.simplex(j)
-            bary = simplex.vertices.mean(axis=0)
-            expected = sine_shear(simplex.vertices).mean(axis=0)
-            np.testing.assert_allclose(eval_pa_map(pa, bary), expected, atol=1e-12)
+            vertices = tri.vertices[tri.simplices[j]]
+            bary = vertices.mean(axis=0)
+            expected = sine_shear(vertices).mean(axis=0)
+            np.testing.assert_allclose(pa.eval_points(bary[None])[0], expected,
+                                       atol=1e-12)
 
     def test_outside_domain_raises(self):
         tri = kuhn_triangulate(UNIT_SQUARE, 0.5)
         pa = lagrange_interpolate(lambda X: X, tri)
         with pytest.raises(ValueError):
-            eval_pa_map(pa, np.array([2.0, 0.5]))
+            pa.eval_points(np.array([2.0, 0.5])[None])
 
 
 class TestValidateHomeomorphism:
