@@ -149,7 +149,7 @@ def polar_factorize(pa_map: PiecewiseAffineMap) -> Factorization:
     d = tri.d
     src = tri.vertices[tri.simplices]                    # (M, d+1, d)
 
-    lam = pa_map.dets()
+    lam = report.dets
     s = simplex_volumes(src) ** (1.0 / d)
     H = np.concatenate([[0.0], np.cumsum(s)[:-1]])
 

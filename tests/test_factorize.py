@@ -18,8 +18,6 @@ from reluflow.mesh import (
 
 UNIT_SQUARE = RectDomain([0.0, 0.0], [1.0, 1.0])
 UNIT_CUBE = RectDomain([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
-AFFINE_3D = (np.array([[1.1, 0.2, 0.0], [-0.1, 0.9, 0.3], [0.05, 0.0, 1.2]]),
-             np.array([0.05, -0.1, 0.2]))
 
 
 def sine_shear(X):
@@ -29,6 +27,16 @@ def sine_shear(X):
 
 def interpolant(f, h=0.5, domain=UNIT_SQUARE):
     return lagrange_interpolate(f, kuhn_triangulate(domain, h))
+
+
+def affine_on_unit_cube():
+    """An affine map interpolated on the unit cube at h = 0.5, and its
+    factorization; half of the 48 cells need the det-sign label swap."""
+    M = np.array([[1.1, 0.2, 0.0], [-0.1, 0.9, 0.3], [0.05, 0.0, 1.2]])
+    c = np.array([0.05, -0.1, 0.2])
+    pa = interpolant(lambda X: X @ M.T + c, h=0.5, domain=UNIT_CUBE)
+    assert pa.triangulation.n_simplices == 48
+    return pa, polar_factorize(pa)
 
 
 class TestPolarFactorize:
@@ -132,10 +140,7 @@ class TestEvalCellMap:
         assert np.max(np.abs(Z - X)) <= 1e-10
 
     def test_involution_3d(self, rng):
-        M, c = AFFINE_3D
-        pa = interpolant(lambda X: X @ M.T + c, h=0.5, domain=UNIT_CUBE)
-        assert pa.triangulation.n_simplices == 48
-        f = polar_factorize(pa)
+        _, f = affine_on_unit_cube()
         X = np.vstack([
             rng.uniform(0, 1, size=(1000, 3)),
             rng.uniform(-3, 12, size=(1000, 3)),
@@ -159,10 +164,7 @@ class TestCheckFactorization:
         assert check_factorization(pa, f, 1000) <= 1e-9
 
     def test_affine_map_3d(self):
-        M, c = AFFINE_3D
-        pa = interpolant(lambda X: X @ M.T + c, h=0.5, domain=UNIT_CUBE)
-        assert pa.triangulation.n_simplices == 48
-        f = polar_factorize(pa)
+        pa, f = affine_on_unit_cube()
         assert check_factorization(pa, f, 2000) <= 1e-12
 
     def test_sine_shear_interior(self):
