@@ -31,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reluflow.compressible import MonotoneProfile, eval_profile
+from reluflow.compressible import slope_profile
 from reluflow.mesh import (PiecewiseAffineMap, affine_through, in_simplex,
                            simplex_edges, simplex_volumes,
                            validate_homeomorphism)
+from reluflow.schedule import PiecewiseLinear
 
 
 class FactorizationError(ValueError):
@@ -103,7 +104,7 @@ class TowerLayout:
 @dataclass(frozen=True)
 class Factorization:
     m1: CellMap
-    profile: MonotoneProfile
+    profile: PiecewiseLinear
     m2: CellMap
     layout: TowerLayout
     lam: np.ndarray        # per-simplex Jacobian factors
@@ -111,7 +112,7 @@ class Factorization:
     def eval_g(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = X.copy()
-        out[:, 0] = eval_profile(self.profile, X[:, 0])
+        out[:, 0] = self.profile(X[:, 0])
         return out
 
     def eval_points(self, X: np.ndarray) -> np.ndarray:
@@ -189,7 +190,7 @@ def polar_factorize(pa_map: PiecewiseAffineMap) -> Factorization:
     ends = starts + s
     breaks = np.concatenate([[L - 1.0, L], ends, [ends[-1] + 1.0]])
     slopes = np.concatenate([[1.0], lam, [1.0]])
-    profile = MonotoneProfile(breaks, slopes, beta0=0.0)
+    profile = slope_profile(breaks, slopes, beta0=0.0)
 
     layout = TowerLayout(L, ref, s, H)
     return Factorization(CellMap(src, tower, A1, b1), profile,

@@ -6,11 +6,10 @@ Five constructors, each with an exact closed-form flow:
 * ``translation_gadget`` -- two segments (dilate, contract about a shifted
   center); the composite equals x + tau on {x >= c + h} and the identity on
   {x <= c}, interpolating monotonically on the ramp (c, c + h).
-* ``shear_translation`` -- two divergence-free segments; translates the
-  half-space {x.n + b >= h} by tau e_l (u = e_l perpendicular to n = +-e_k),
-  is the identity on {x.n + b <= 0}, and moves the middle strip by
-  (|tau|/h)(x.n + b) sgn(tau) e_l.  Volume-preserving: logdet increment is
-  exactly zero.
+* ``shear_for_region`` -- two divergence-free segments; translates the
+  points past ``hi`` along x_sel by tau e_move, is the identity on the
+  points before ``lo`` and ramps linearly on the strip between them.
+  Volume-preserving: logdet increment is exactly zero.
 * ``staircase`` -- one ``shear_for_region`` per nonzero jump; adds a
   piecewise-linear staircase sum_e jump_e ramp(x_read - c_e) to x_write,
   each ramp rising from 0 to 1 over [c_e - half, c_e + half].  It reads a
@@ -74,46 +73,31 @@ def translation_gadget(c: float, h: float, tau: float, T: float,
                     [-c, -(c + eta)], [T / 2.0, T / 2.0])
 
 
-def shear_translation(k: int, l: int, a_sign: int, b: float, h: float,
-                      tau: float, d: int) -> ControlSchedule:
-    """Two divergence-free segments translating a half-space sideways.
-
-    With n = a_sign * e_k and u = sgn(tau) * e_l, the composite flow is
-
-        x + tau e_l                          where x.n + b - h >= 0,
-        x                                    where x.n + b <= 0,
-        x + (|tau|/h)(x.n + b) sgn(tau) e_l  on the middle strip.
-
-    Both segments satisfy a.w = 0, so the tracked logdet increment is
-    exactly zero and the flow is volume preserving.
-    """
-    if k == l:
-        raise ValueError("k and l must be distinct axes (shear needs u ⟂ n)")
-    if a_sign not in (+1, -1):
-        raise ValueError("a_sign must be +1 or -1")
-    if h <= 0:
-        raise ValueError("h must be positive")
-    u = np.sign(tau)
-    t = abs(tau) / h
-    return _aligned(d, l, [-u, u], k, [a_sign, a_sign], [b - h, b], [t, t])
-
-
 def shear_for_region(move_axis: int, tau: float, sel_axis: int, lo: float,
                      hi: float, d: int) -> ControlSchedule:
-    """Shear translating by tau e_{move_axis} with a ramp in a chosen band.
+    """Two divergence-free segments translating a half-space sideways.
 
-    Convenience wrapper around :func:`shear_translation`: the flow moves
-    points with x_{sel_axis} >= hi (when lo < hi) or x_{sel_axis} <= hi
-    (when lo > hi), is the identity past ``lo``, and ramps in between.
+    The flow adds tau to x_{move_axis} where x_{sel_axis} is at or past
+    ``hi`` (x_sel >= hi when lo < hi, x_sel <= hi when lo > hi), is the
+    identity where x_sel is at or before ``lo``, and ramps linearly in
+    between.  With sign = sgn(hi - lo), h = |hi - lo| and u = sgn(tau)
+    e_move, the segments (w, a, b) are (-u, sign e_sel, -sign lo - h) and
+    (u, sign e_sel, -sign lo), each for |tau|/h.  Both satisfy a.w = 0, so
+    the tracked logdet increment is exactly zero and the flow is volume
+    preserving.
     """
+    if move_axis == sel_axis:
+        raise ValueError("move_axis and sel_axis must be distinct (shear "
+                         "needs u ⟂ n)")
     width = abs(hi - lo)
     if width <= 0:
         raise ValueError("ramp must have positive width")
-    if lo < hi:
-        # active above: x.n + b - h >= 0 with n = +e_sel, h = width, b = -lo
-        return shear_translation(sel_axis, move_axis, +1, -lo, width, tau, d)
-    # active below: n = -e_sel; identity for x >= lo, active for x <= hi
-    return shear_translation(sel_axis, move_axis, -1, lo, width, tau, d)
+    sign = 1.0 if lo < hi else -1.0
+    b = -sign * lo
+    u = np.sign(tau)
+    t = abs(tau) / width
+    return _aligned(d, move_axis, [-u, u], sel_axis, [sign, sign],
+                    [b - width, b], [t, t])
 
 
 def staircase(write_axis: int, read_axis: int, centres, jumps, half: float,

@@ -37,13 +37,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from reluflow.compressible import MonotoneProfile, profile_schedule
+from reluflow.compressible import profile_schedule
 from reluflow.factorize import FactorizationError
 from reluflow.gadgets import staircase
 from reluflow.mesh import RectDomain
 from reluflow.metrics import _cell_centers, lp_map_error, pushforward_values
 from reluflow.numerics import bisect_increasing, grid_points
-from reluflow.schedule import ControlSchedule, flow_points, invert_schedule
+from reluflow.schedule import (ControlSchedule, PiecewiseLinear, flow_points,
+                               invert_schedule)
 from reluflow.targets import TargetMap
 
 # Shear ramp width as a fraction of the band width.  The ramp strips are the
@@ -185,18 +186,15 @@ def band_tower(values: np.ndarray, knots: np.ndarray, edges: np.ndarray,
     span = max(knots[-1] - knots[0], values.max() - values.min())
     S = float(_STAGGER_FACTOR * span)
     shift = S * np.arange(K)[:, None]
-    breaks = (knots[None, :] + shift).ravel()
-    images = (values + shift).ravel()
-    slopes = np.diff(images) / np.diff(breaks)
-    profile = MonotoneProfile(breaks, slopes,
-                              beta0=images[0] - slopes[0] * breaks[0])
-    if profile.is_identity():
+    profile = profile_schedule(PiecewiseLinear.through(
+        (knots[None, :] + shift).ravel(), (values + shift).ravel()),
+        d=d, axis=move_axis)
+    if not len(profile):    # every band map is the identity
         return BandTower(ControlSchedule(), ControlSchedule(),
                          ControlSchedule(), K, 0.0)
     half = 0.5 * _RAMP_FRACTION * (edges[1] - edges[0])
     stack = staircase(move_axis, sel_axis, edges[1:-1], S, half, d)
-    return BandTower(stack, profile_schedule(profile, d=d, axis=move_axis),
-                     invert_schedule(stack), K, S)
+    return BandTower(stack, profile, invert_schedule(stack), K, S)
 
 
 def _check_increasing(values: np.ndarray, name: str, h: float) -> None:

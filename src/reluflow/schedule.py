@@ -25,10 +25,14 @@ cached on the schedule): a maximal run of axis-aligned segments (a = a_k
 e_k, w = w_l e_l) acts on one coordinate at a time and is fused into one
 exact piecewise-linear map.  A shear run (k != l, s = 0) adds f(x_k) to
 x_l; a profile run (k = l) maps x_k monotonically, with a piecewise-constant
-log-det.  Other segments, short runs and segments past the exp overflow
-guard stay on the per-segment kernel, in order.  The two kernels agree up
-to rounding; at a kink, where the log-det is undefined, they may take
-opposite one-sided values.
+log-det.  Both hold their map as a ``PiecewiseLinear`` (knots, values and
+one slope per piece), the package's one form of a 1-d piecewise-linear map.
+A shear run is fused in difference form: its slopes accumulate the slope
+jump at each kink and its values follow from one anchor value by a
+cumulative sum, so no large products cancel.  Other segments, short runs
+and segments past the exp overflow guard stay on the per-segment kernel, in
+order.  The two kernels agree up to rounding; at a kink, where the log-det
+is undefined, they may take opposite one-sided values.
 
 All flow operations are vectorized over arrays of points with shape (N, d);
 a single point x is the batch x[None].
@@ -248,26 +252,45 @@ MIN_FUSED_RUN = 16
 class PiecewiseLinear:
     """Continuous piecewise-linear function of one variable.
 
-    ``values`` at strictly increasing ``knots``, linear between them and
-    affine beyond the end knots with slopes ``left`` and ``right``.
+    ``values`` at strictly increasing ``knots``, and one slope per piece:
+    ``slopes[0]`` left of knots[0], ``slopes[i]`` between knots[i - 1] and
+    knots[i], ``slopes[-1]`` right of knots[-1].  Build it ``through``
+    points (chord slopes) or ``from_slopes`` (values by a cumulative sum);
+    given slopes are stored as given.
     """
 
     knots: np.ndarray
     values: np.ndarray
-    left: float
-    right: float
+    slopes: np.ndarray
 
     def __post_init__(self):
-        # per piece: anchor knot, anchor value, slope (piece i lies left of
-        # knots[i]; the last piece is right of every knot)
-        with np.errstate(all="ignore"):    # see well_formed
-            chords = np.diff(self.values) / np.diff(self.knots)
+        # per piece: anchor knot and value (piece i lies left of knots[i];
+        # the last piece is right of every knot)
         object.__setattr__(self, "_x0", np.concatenate([self.knots[:1],
                                                         self.knots]))
         object.__setattr__(self, "_y0", np.concatenate([self.values[:1],
                                                         self.values]))
-        object.__setattr__(self, "_slope", np.concatenate(
-            [[self.left], chords, [self.right]]))
+
+    @classmethod
+    def through(cls, knots, values, left=None,
+                right=None) -> "PiecewiseLinear":
+        """The interpolant of ``values`` at ``knots``; the end pieces have
+        slopes ``left`` and ``right``, by default the end chords."""
+        with np.errstate(all="ignore"):    # see well_formed
+            chords = np.diff(values) / np.diff(knots)
+        left = chords[0] if left is None else left
+        right = chords[-1] if right is None else right
+        return cls(knots, values, np.concatenate([[left], chords, [right]]))
+
+    @classmethod
+    def from_slopes(cls, knots, slopes, value0: float) -> "PiecewiseLinear":
+        """The function with these per-piece ``slopes`` (one more than
+        knots) whose value at knots[0] is ``value0``."""
+        values = np.empty_like(knots)
+        values[0] = value0
+        np.cumsum(slopes[1:-1] * np.diff(knots), out=values[1:])
+        values[1:] += value0
+        return cls(knots, values, slopes)
 
     def piece(self, x: np.ndarray) -> np.ndarray:
         """Index of the piece holding each x (a knot opens its right piece)."""
@@ -275,16 +298,18 @@ class PiecewiseLinear:
 
     def __call__(self, x: np.ndarray, piece=None) -> np.ndarray:
         i = self.piece(x) if piece is None else piece
-        return self._y0[i] + self._slope[i] * (x - self._x0[i])
+        return self._y0[i] + self.slopes[i] * (x - self._x0[i])
+
+    def inverse(self) -> "PiecewiseLinear":
+        """The inverse of an increasing function, affine beyond its image."""
+        with np.errstate(all="ignore"):    # see well_formed
+            return PiecewiseLinear(self.values, self.knots, 1.0 / self.slopes)
 
     def well_formed(self, increasing: bool) -> bool:
-        parts = (self.knots, self.values, self._slope)
+        parts = (self.knots, self.values, self.slopes)
         ok = all(np.all(np.isfinite(p)) for p in parts)
         ok = ok and bool(np.all(np.diff(self.knots) > 0))
-        if increasing:
-            ok = ok and bool(np.all(np.diff(self.values) > 0)
-                             and self.left > 0 and self.right > 0)
-        return ok
+        return ok and (not increasing or bool(np.all(self.slopes > 0)))
 
 
 @dataclass(frozen=True)
@@ -303,17 +328,21 @@ class ShearRun:
     def fuse(cls, read: int, write: int, alpha: np.ndarray, b: np.ndarray,
              gain: np.ndarray) -> "ShearRun":
         """Fuse the segments adding relu(alpha x_read + b) * gain to x_write
-        (gain = duration * w_write; s = 0)."""
-        knots = np.unique(-b / alpha)
-        values = np.empty_like(knots)
-        rows = max(1, (1 << 20) // len(b))
-        for lo in range(0, len(knots), rows):
-            t = knots[lo:lo + rows, None]
-            values[lo:lo + rows] = np.maximum(t * alpha + b, 0.0) @ gain
-        slopes = alpha * gain
-        return cls(read, write, PiecewiseLinear(
-            knots, values, float(np.sum(slopes[alpha < 0])),
-            float(np.sum(slopes[alpha > 0]))))
+        (gain = duration * w_write; s = 0), in difference form.
+
+        Left of every kink only the segments with alpha < 0 act; crossing a
+        segment's kink raises the slope by |alpha| gain.  The values follow
+        from f at the first knot by a cumulative sum over the pieces.
+        """
+        knots, kink = np.unique(-b / alpha, return_inverse=True)
+        jumps = np.bincount(kink, np.abs(alpha) * gain, len(knots))
+        falling = alpha < 0
+        left = float(alpha[falling] @ gain[falling])
+        slopes = left + np.concatenate([[0.0], np.cumsum(jumps)])
+        value0 = float(np.maximum(knots[0] * alpha[falling] + b[falling], 0.0)
+                       @ gain[falling])
+        return cls(read, write,
+                   PiecewiseLinear.from_slopes(knots, slopes, value0))
 
     def well_formed(self) -> bool:
         return self.f.well_formed(increasing=False)
@@ -323,8 +352,8 @@ class ShearRun:
 
     def inverse(self) -> "ShearRun":
         f = self.f
-        return ShearRun(self.read, self.write, PiecewiseLinear(
-            f.knots, -f.values, -f.left, -f.right))
+        return ShearRun(self.read, self.write,
+                        PiecewiseLinear(f.knots, -f.values, -f.slopes))
 
 
 @dataclass(frozen=True)
@@ -394,8 +423,8 @@ class ProfileRun:
                     active -= c
                     active *= e
                     active += c
-        return cls(axis, PiecewiseLinear(u[:m].copy(), v[:m].copy(),
-                                         left, right), L[:m + 1].copy())
+        g = PiecewiseLinear.through(u[:m].copy(), v[:m].copy(), left, right)
+        return cls(axis, g, L[:m + 1].copy())
 
     def well_formed(self) -> bool:
         return (self.g.well_formed(increasing=True)
@@ -408,9 +437,7 @@ class ProfileRun:
         X[:, self.axis] = self.g(x, i)
 
     def inverse(self) -> "ProfileRun":
-        g = self.g
-        return ProfileRun(self.axis, PiecewiseLinear(
-            g.values, g.knots, 1.0 / g.left, 1.0 / g.right), -self.logdets)
+        return ProfileRun(self.axis, self.g.inverse(), -self.logdets)
 
 
 @dataclass(frozen=True)

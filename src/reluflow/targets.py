@@ -10,11 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reluflow.compressible import MonotoneProfile, eval_profile, profile_logdet
+from reluflow.compressible import profile_logdet, slope_profile
 from reluflow.kr import GridDensity, kr_map
 from reluflow.mesh import RectDomain
 from reluflow.metrics import density_interpolator
 from reluflow.numerics import bisect_increasing
+from reluflow.schedule import PiecewiseLinear, json_key
 
 UNIT_SQUARE = RectDomain([0.0, 0.0], [1.0, 1.0])
 
@@ -28,7 +29,7 @@ class TargetMap:
     # logdet(X, Y=None) -> (N,) log|det Dphi| at the rows of X, if
     # available; a caller holding Y = phi(X) passes it to save a map call
     logdet: object = None
-    profile: MonotoneProfile = None   # set for one-coordinate profile targets
+    profile: PiecewiseLinear = None   # set for one-coordinate profile targets
 
 
 def _sine_shear(X):
@@ -87,7 +88,7 @@ def _compose(f, g):
 _DEFAULT_AFFINE_M = np.array([[1.1, 0.1], [0.0, 0.85]])
 _DEFAULT_AFFINE_C = np.array([0.02, 0.05])
 
-_DEFAULT_PROFILE = MonotoneProfile([0.0, 0.4, 1.0], [0.5, 4.0 / 3.0], 0.0)
+_DEFAULT_PROFILE = slope_profile([0.0, 0.4, 1.0], [0.5, 4.0 / 3.0], 0.0)
 
 
 def get_target(name: str, params: dict = None) -> TargetMap:
@@ -125,26 +126,26 @@ def get_target(name: str, params: dict = None) -> TargetMap:
                                           _sine_shear_inv),
                          logdet=_radial_compress_logdet)
     if name == "profile1d":
+        # an object is the slope form {"breakpoints", "slopes", "beta0"}
         prof = params.get("profile")
-        prof = (MonotoneProfile.from_dict(prof) if isinstance(prof, dict)
-                else prof or _DEFAULT_PROFILE)
+        prof = (slope_profile(*(json_key(prof, key, "profile", kind)
+                                for key, kind in (("breakpoints", "vector"),
+                                                  ("slopes", "vector"),
+                                                  ("beta0", "number"))))
+                if isinstance(prof, dict) else prof or _DEFAULT_PROFILE)
         d = int(params.get("d", 2))
-        lower = [prof.breakpoints[0]] + [0.0] * (d - 1)
-        upper = [prof.breakpoints[-1]] + [1.0] * (d - 1)
-        knots = np.asarray(prof.breakpoints, dtype=float)
-        images = eval_profile(prof, knots)
+        lower = [prof.knots[0]] + [0.0] * (d - 1)
+        upper = [prof.knots[-1]] + [1.0] * (d - 1)
 
-        def fn(X):
-            X = np.atleast_2d(np.asarray(X, float)).copy()
-            X[:, 0] = eval_profile(prof, X[:, 0])
-            return X
+        def on_first_axis(f):
+            def apply(X):
+                X = np.atleast_2d(np.asarray(X, float)).copy()
+                X[:, 0] = f(X[:, 0])
+                return X
+            return apply
 
-        def inv(Y):
-            Y = np.atleast_2d(np.asarray(Y, float)).copy()
-            Y[:, 0] = np.interp(Y[:, 0], images, knots)
-            return Y
-
-        return TargetMap(name, fn, RectDomain(lower, upper), inverse=inv,
+        return TargetMap(name, on_first_axis(prof), RectDomain(lower, upper),
+                         inverse=on_first_axis(prof.inverse()),
                          logdet=lambda X, Y=None: profile_logdet(
                              prof, np.atleast_2d(X)[:, 0]),
                          profile=prof)
@@ -173,7 +174,8 @@ def density_from_spec(spec, shape=(65, 65)) -> GridDensity:
     if isinstance(spec, GridDensity):
         return spec
     if isinstance(spec, dict):
-        return GridDensity(np.asarray(spec["values"], dtype=float))
+        return GridDensity(np.asarray(json_key(spec, "values", "density"),
+                                      dtype=float))
     shape = tuple(int(n) for n in shape)
     if spec == "uniform":
         return GridDensity.uniform(shape)

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from reluflow.compressible import (
-    MonotoneProfile,
-    eval_profile,
     profile_logdet,
     profile_schedule,
+    slope_profile,
 )
 from reluflow.factorize import polar_factorize
 from reluflow.gadgets import shear_for_region
@@ -92,13 +91,13 @@ def test_criterion_2_profile_schedules_are_exact():
         breaks = start + np.concatenate([[0.0], np.cumsum(widths)])
         slopes = rng.uniform(1.0 / 8.0, 8.0, size=n)
         beta0 = float(rng.uniform(-0.5, 0.5))
-        p = MonotoneProfile(breaks, slopes, beta0)
+        p = slope_profile(breaks, slopes, beta0)
         sched = profile_schedule(p)
         x = rng.uniform(breaks[0], breaks[-1], size=10_000)
         # keep logdet comparisons away from the (measure-zero) breakpoints
         x = x[np.min(np.abs(x[:, None] - breaks[None, :]), axis=1) > 1e-6]
         out, q = flow_points(x[:, None], sched)
-        assert np.abs(out[:, 0] - eval_profile(p, x)).max() <= 1e-9
+        assert np.abs(out[:, 0] - p(x)).max() <= 1e-9
         assert np.abs(q - profile_logdet(p, x)).max() <= 1e-9
 
 

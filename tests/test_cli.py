@@ -43,6 +43,17 @@ class TestRealizeCommand:
         report = json.loads(text)
         assert report["lp_error"] <= 1e-9
 
+    def test_shifted_profile_target_exit_zero(self, tmp_path):
+        profile = {"breakpoints": [0.0, 1.0], "slopes": [1.0], "beta0": 0.3}
+        code, text = run(tmp_path, "realize",
+                         {"target": "profile1d", "resolution": 32,
+                          "target_params": {"profile": profile}},
+                         out_name="report.json")
+        report = json.loads(text)
+        assert code == 0
+        assert report["ok"] is True
+        assert report["tv_error"] <= 1e-9
+
     def test_exit_nonzero_when_error_exceeds_epsilon(self, tmp_path):
         code, text = run(tmp_path, "realize",
                          {"target": "sine-shear", "mesh_h": 0.25,
@@ -353,6 +364,27 @@ class TestBadInputs:
             "mixture-cells"])
     def test_missing_top_level_key(self, tmp_path, capsys, verb, config,
                                    problem):
+        err = run_failing(tmp_path, capsys, verb, config)
+        assert problem in err
+
+    @pytest.mark.parametrize("verb,config,problem", [
+        *(("realize", {"target": "profile1d", "target_params": {"profile": {
+            k: v for k, v in {"breakpoints": [0.0, 1.0], "slopes": [1.0],
+                              "beta0": 0.3}.items() if k != key}}},
+           f"profile: missing key {key!r}")
+          for key in ("breakpoints", "slopes", "beta0")),
+        ("realize", {"target": "profile1d", "target_params": {"profile": {
+            "breakpoints": "0 1", "slopes": [1.0], "beta0": 0.3}}},
+         'profile: "breakpoints" must be a 1-d list of numbers'),
+        ("kr", {"rho0": {"value": [1.0, 1.0]}},
+         "density: missing key 'values'"),
+        ("realize", {"target": "kr", "target_params": {"rho1": {}}},
+         "density: missing key 'values'"),
+    ], ids=["profile-breakpoints", "profile-slopes", "profile-beta0",
+            "profile-breakpoints-string", "kr-density-values",
+            "realize-density-values"])
+    def test_config_object_names_its_field(self, tmp_path, capsys, verb,
+                                           config, problem):
         err = run_failing(tmp_path, capsys, verb, config)
         assert problem in err
 

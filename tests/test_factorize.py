@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from reluflow.compressible import eval_profile
 from reluflow.factorize import (
     FactorizationError,
     check_factorization,
@@ -55,8 +54,7 @@ class TestPolarFactorize:
         # psi'' = 2 on every tower interval
         for lo, hi in f.layout.intervals:
             mid = 0.5 * (lo + hi)
-            dpsi = (eval_profile(f.profile, mid + 1e-7)
-                    - eval_profile(f.profile, mid - 1e-7)) / 2e-7
+            dpsi = (f.profile(mid + 1e-7) - f.profile(mid - 1e-7)) / 2e-7
             assert dpsi == pytest.approx(2.0, rel=1e-5)
 
     def test_sine_shear_vertex_composition(self):

@@ -4,7 +4,6 @@ import pytest
 from reluflow.gadgets import (
     dilation_1d,
     shear_for_region,
-    shear_translation,
     slope_change_stages,
     staircase,
     translation_gadget,
@@ -81,31 +80,34 @@ class TestTranslationGadget:
 
 
 class TestShearTranslation:
+    """shear_for_region as a sideways translation of a half-space."""
+
     def test_regions(self):
-        sched = shear_translation(k=0, l=1, a_sign=+1, b=0.0, h=1.0, tau=2.0, d=2)
+        sched = shear_for_region(move_axis=1, tau=2.0, sel_axis=0, lo=0.0,
+                                 hi=1.0, d=2)
         out = flow1([1.5, 0.0], sched)
         np.testing.assert_allclose(out, [1.5, 2.0], atol=1e-12)
         out = flow1([-0.5, 0.0], sched)
         np.testing.assert_allclose(out, [-0.5, 0.0])
 
     def test_middle_strip(self):
-        sched = shear_translation(0, 1, +1, 0.0, 1.0, 2.0, d=2)
+        sched = shear_for_region(1, 2.0, 0, 0.0, 1.0, d=2)
         out = flow1([0.5, 0.0], sched)
         np.testing.assert_allclose(out, [0.5, 1.0], atol=1e-12)
 
     def test_tau_zero_identity(self):
-        sched = shear_translation(0, 1, +1, 0.0, 1.0, 0.0, d=2)
+        sched = shear_for_region(1, 0.0, 0, 0.0, 1.0, d=2)
         out = flow1([1.5, 0.3], sched)
         np.testing.assert_allclose(out, [1.5, 0.3])
 
     def test_negative_tau(self):
-        sched = shear_translation(0, 1, +1, 0.0, 1.0, -2.0, d=2)
+        sched = shear_for_region(1, -2.0, 0, 0.0, 1.0, d=2)
         out = flow1([1.5, 0.0], sched)
         np.testing.assert_allclose(out, [1.5, -2.0], atol=1e-12)
 
     def test_negative_a_sign(self):
-        # active side flips: points with -x_0 + b - h >= 0, i.e. x_0 <= b - h
-        sched = shear_translation(0, 1, -1, 0.0, 1.0, 1.0, d=2)
+        # active side flips (lo > hi): points with x_0 <= hi move
+        sched = shear_for_region(1, 1.0, 0, 0.0, -1.0, d=2)
         out = flow1([-1.5, 0.0], sched)
         np.testing.assert_allclose(out, [-1.5, 1.0], atol=1e-12)
         out = flow1([0.5, 0.0], sched)
@@ -113,10 +115,10 @@ class TestShearTranslation:
 
     def test_k_equals_l_rejected(self):
         with pytest.raises(ValueError):
-            shear_translation(1, 1, +1, 0.0, 1.0, 1.0, d=2)
+            shear_for_region(1, 1.0, 1, 0.0, 1.0, d=2)
 
     def test_divergence_free_jacobian(self, rng):
-        sched = shear_translation(0, 2, -1, 0.3, 0.5, 1.7, d=3)
+        sched = shear_for_region(2, 1.7, 0, 0.3, -0.2, d=3)
         X = rng.uniform(-3, 3, size=(1000, 3))
         _, ld = flow_points(X, sched)
         assert np.all(ld == 0.0)  # exact, not approximate

@@ -104,6 +104,20 @@ class TestPermutationSchedule:
                 assert np.max(np.abs(out - (X + shift))) <= 1e-9
                 assert np.all(ld == 0.0)
 
+    def test_long_shear_runs_land_every_core(self, rng):
+        # 32 x 32 cubes, 4,220 segments: the fused shear runs sum thousands
+        # of ramps, so they must not cancel large products
+        grid = CubeGrid(L=8.0, h=0.5, delta=0.1, d=2)
+        assert grid.n == 32
+        cubes = grid.all_indices()
+        sigma = Permutation(rng.permutation(grid.n_cubes))
+        sched = permutation_schedule(sigma, grid)
+        X = np.vstack([grid.sample_core(idx, rng, 2) for idx in cubes])
+        shift = np.repeat((cubes[sigma.sigma] - cubes) * grid.h, 2, axis=0)
+        out, ld = flow_points(X, sched)
+        assert np.max(np.abs(out - (X + shift))) <= 1e-9
+        assert np.all(ld == 0.0)
+
     def test_identity_is_empty(self):
         sigma = Permutation(np.arange(GRID2.n_cubes))
         assert len(permutation_schedule(sigma, GRID2)) == 0

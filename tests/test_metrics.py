@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reluflow.compressible import MonotoneProfile, profile_schedule
+from reluflow.compressible import profile_schedule, slope_profile
 from reluflow.gadgets import dilation_1d, shear_for_region
 from reluflow.kr import GridDensity
 from reluflow.mesh import RectDomain
@@ -63,7 +63,7 @@ class TestPushforward:
 
     def test_profile_pushforward_piecewise(self):
         # slopes (2, 1/2) on [0, 1/2, 1]: image densities 1/2 on (0,1), 2 on (1,1.25)
-        p = MonotoneProfile([0.0, 0.5, 1.0], [2.0, 0.5], 0.0)
+        p = slope_profile([0.0, 0.5, 1.0], [2.0, 0.5], 0.0)
         sched = profile_schedule(p)
         rho_fn = lambda X: ((X[:, 0] >= 0) & (X[:, 0] <= 1)).astype(float)
         inside = pushforward_values(sched, rho_fn, np.array([[0.3], [0.8]]))
@@ -75,7 +75,7 @@ class TestPushforward:
         # profile fixing [0,1]: pushforward of a smooth density integrates
         # to 1; with an analytic density the only quadrature kinks are the
         # three breakpoint images
-        p = MonotoneProfile([0.0, 0.5, 1.0], [0.5, 1.5], 0.0)
+        p = slope_profile([0.0, 0.5, 1.0], [0.5, 1.5], 0.0)
         sched = profile_schedule(p)
         rho_fn = lambda X: np.where(
             (X[:, 0] >= 0) & (X[:, 0] <= 1),
@@ -91,7 +91,7 @@ class TestPushforward:
     def test_mass_conserved_grid(self):
         # grid densities add interpolation kinks at every node image; the
         # quadrature error scales like O(grid^-1) and shrinks on refinement
-        p = MonotoneProfile([0.0, 0.5, 1.0], [0.5, 1.5], 0.0)
+        p = slope_profile([0.0, 0.5, 1.0], [0.5, 1.5], 0.0)
         sched = profile_schedule(p, d=2, axis=0)
         rho = smooth_density(1, shape=(257, 257))
         errs = [abs(pushforward_density(sched, rho, (n, n)).integral() - 1.0)

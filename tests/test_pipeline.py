@@ -31,6 +31,20 @@ class TestSpecialCases:
         assert r.stages[0].name == "profile"
         assert len(r.schedule) > 0
 
+    @pytest.mark.parametrize("profile", [
+        {"breakpoints": [0.0, 0.4, 1.0], "slopes": [0.5, 4.0 / 3.0],
+         "beta0": 0.3},
+        {"breakpoints": [0.0, 1.0], "slopes": [1.0], "beta0": 0.3}],
+        ids=["two-piece", "translation"])
+    def test_shifted_profile_tv_is_exact(self, profile):
+        # the target's inverse extends affinely, so image points outside
+        # phi(domain) pull back outside the domain and carry no mass
+        r = realize_target(get_target("profile1d", {"profile": profile}),
+                           resolution=64)
+        assert r.lp_error <= 1e-9
+        assert r.tv_error <= 1e-9
+        assert r.ok
+
     def test_profile_schedule_matches_target_map(self, rng):
         t = get_target("profile1d")
         r = realize_target(t, resolution=32)

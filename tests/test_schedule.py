@@ -11,6 +11,7 @@ from reluflow.schedule import (
     MIN_FUSED_RUN,
     ControlSchedule,
     FlowOverflowError,
+    PiecewiseLinear,
     ProfileRun,
     ShearRun,
     compile_schedule,
@@ -234,6 +235,40 @@ def test_segment_group_property(x, w, a, b, t):
 
 # --------------------------------------------------------------------------
 # compiled schedules
+
+
+class TestPiecewiseLinear:
+    def test_two_constructions_agree(self):
+        knots = np.array([0.0, 0.5, 2.0])
+        by_slopes = PiecewiseLinear.from_slopes(knots, np.array([3.0, 2.0, 0.5,
+                                                                 4.0]), 1.0)
+        np.testing.assert_array_equal(by_slopes.values, [1.0, 2.0, 2.75])
+        through = PiecewiseLinear.through(knots, by_slopes.values, 3.0, 4.0)
+        np.testing.assert_array_equal(through.slopes, by_slopes.slopes)
+        x = np.array([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(by_slopes(x), through(x))
+        np.testing.assert_array_equal(by_slopes(x),
+                                      [-2.0, 1.0, 1.5, 2.0, 2.25, 2.75, 6.75])
+
+    def test_end_pieces_default_to_end_chords(self):
+        f = PiecewiseLinear.through(np.array([0.0, 1.0, 2.0]),
+                                    np.array([0.0, 2.0, 2.5]))
+        np.testing.assert_array_equal(f.slopes, [2.0, 2.0, 0.5, 0.5])
+
+    def test_given_slopes_are_stored_as_given(self):
+        # the chords of the cumulated values need not reproduce 0.1 exactly
+        slopes = np.full(12, 0.1)
+        f = PiecewiseLinear.from_slopes(np.linspace(0.3, 1.7, 11), slopes, 0.2)
+        assert np.any(np.diff(f.values) / np.diff(f.knots) != 0.1)
+        assert np.all(f.slopes == 0.1)
+
+    def test_inverse_extends_affinely(self, rng):
+        slopes = np.array([0.5, 0.5, 4 / 3, 4 / 3])
+        f = PiecewiseLinear.from_slopes(np.array([0.0, 0.4, 1.0]), slopes, 0.3)
+        x = rng.uniform(-2.0, 3.0, size=200)
+        np.testing.assert_allclose(f.inverse()(f(x)), x, rtol=0, atol=1e-14)
+        # below the image, the inverse continues the first piece's slope
+        assert f.inverse()(np.array([0.0]))[0] == pytest.approx(-0.6)
 
 
 def _aligned(read, write, d, rng, scale=1.0, duration=0.05):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from reluflow.compressible import MonotoneProfile
+from reluflow.compressible import slope_profile
 from reluflow.targets import CATALOG, density_from_spec, get_target
 
 
@@ -87,7 +87,7 @@ class TestSpecificMaps:
                                    atol=1e-12)
 
     def test_profile1d_applies_profile_on_first_axis(self):
-        prof = MonotoneProfile([0.0, 0.5, 1.0], [0.5, 1.5], 0.0)
+        prof = slope_profile([0.0, 0.5, 1.0], [0.5, 1.5], 0.0)
         t = get_target("profile1d", {"profile": prof, "d": 2})
         out = t.fn(np.array([[0.5, 0.3], [1.0, 0.8]]))
         np.testing.assert_allclose(out[:, 0], [0.25, 1.0], atol=1e-12)
