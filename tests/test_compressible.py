@@ -44,8 +44,7 @@ class TestEvalProfile:
         p0 = slope_profile([0.0, 0.5, 1.0], [2.0, 0.5], 0.0)
         p1 = slope_profile([0.0, 0.5, 1.0], [2.0, 0.5], 0.2)
         x = np.linspace(0, 1, 11)
-        np.testing.assert_allclose(p1(x), p0(x) + 0.2,
-                                   atol=1e-14)
+        np.testing.assert_allclose(p1(x), p0(x) + 0.2, atol=1e-14)
 
     def test_continuity_at_breakpoints(self, rng):
         p = random_profile(rng)
