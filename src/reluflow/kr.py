@@ -19,6 +19,10 @@ slices.
 
 Evaluation is vectorized over points, in batches of at most
 ``_CHUNK_ROWS``.
+
+A GridDensity is also the density resolver of the package: calling it
+evaluates its multilinear interpolant, zero outside [0, 1]^d, with the same
+cell rule (``_cell``) that locates the prefixes of the conditional slices.
 """
 
 from __future__ import annotations
@@ -48,9 +52,22 @@ def _read_only(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _cell(nodes: np.ndarray, x: np.ndarray) -> tuple:
+    """Each x's cell i on the uniform ``nodes`` of [0, 1], clamped to the
+    end cells, and its fraction (x - nodes[i]) / width, outside [0, 1] where
+    x is.  At a node the fraction is exactly 0 or 1.  A NaN x gets the last
+    cell and a NaN fraction."""
+    last = len(nodes) - 2
+    # fmin/fmax send NaN to a cell, so no NaN is cast to an index
+    i = np.fmax(np.fmin(np.floor(x * (last + 1)), last), 0).astype(np.intp)
+    left = nodes[i]
+    return i, (x - left) / (nodes[i + 1] - left)
+
+
 @dataclass(frozen=True)
 class GridDensity:
-    """Strictly positive values on an inclusive tensor grid over [0,1]^d."""
+    """Strictly positive values on an inclusive tensor grid over [0,1]^d;
+    calling it evaluates the multilinear interpolant."""
 
     values: np.ndarray
     nodes: tuple = field(init=False, repr=False, compare=False)
@@ -68,6 +85,33 @@ class GridDensity:
     @property
     def d(self) -> int:
         return self.values.ndim
+
+    def __call__(self, X) -> np.ndarray:
+        """The multilinear interpolant at the rows of X (n, d).
+
+        Zero outside [0, 1]^d and NaN on a row holding NaN.  Each axis gives
+        one cell index and a pair of weights, and the 2^d corner values of
+        the cell are blended one axis at a time, the last axis first.
+        """
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise ValueError(f"points must have shape (n, {self.d}); got "
+                             f"{X.shape}")
+        flat = self.values.ravel()
+        base, inside, weights, offsets = 0, True, [], [0]
+        for nodes, x in zip(self.nodes, X.T):
+            xc = np.clip(x, 0.0, 1.0)
+            inside = inside & (xc == x)        # False on NaN as well
+            i, f = _cell(nodes, xc)
+            base = base * len(nodes) + i
+            weights.append((1.0 - f, f))
+            offsets = [o * len(nodes) + c for o in offsets for c in (0, 1)]
+        corners = [flat[base + o] for o in offsets]
+        for w0, w1 in reversed(weights):
+            corners = [lo * w0 + hi * w1
+                       for lo, hi in zip(corners[::2], corners[1::2])]
+        # exactly 0 outside; NaN * 0 keeps a NaN row NaN
+        return corners[0] * inside
 
     def integral(self) -> float:
         return float(trapezoid_all(self.values))
@@ -126,10 +170,8 @@ class _SliceTable:
         rows = np.zeros((len(prefix), 1), dtype=np.intp)
         weights = np.ones((len(prefix), 1))
         for j, nodes in enumerate(self.lead):
-            x = prefix[:, j]
-            i = np.clip(np.searchsorted(nodes, x, side="right") - 1,
-                        0, len(nodes) - 2)
-            f = ((x - nodes[i]) / (nodes[i + 1] - nodes[i]))[:, None]
+            i, f = _cell(nodes, prefix[:, j])
+            f = f[:, None]
             rows = rows * len(nodes) + i[:, None]
             rows = np.concatenate([rows, rows + 1], axis=1)
             weights = np.concatenate([weights * (1.0 - f), weights * f],

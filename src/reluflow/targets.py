@@ -13,7 +13,6 @@ import numpy as np
 from reluflow.compressible import profile_logdet, slope_profile
 from reluflow.kr import GridDensity, kr_map
 from reluflow.mesh import RectDomain
-from reluflow.metrics import density_interpolator
 from reluflow.numerics import bisect_increasing
 from reluflow.schedule import PiecewiseLinear, json_key
 
@@ -156,10 +155,9 @@ def get_target(name: str, params: dict = None) -> TargetMap:
         back = kr_map(rho1, rho0)
         # exact for the discrete KR map: its conditional-CDF ratios telescope
         # to rho0(x) / rho1(phi(x)) of the multilinear density interpolants
-        rho0_fn, rho1_fn = density_interpolator(rho0), density_interpolator(rho1)
         return TargetMap(name, fwd, UNIT_SQUARE, inverse=back,
-                         logdet=lambda X, Y=None: np.log(rho0_fn(X))
-                         - np.log(rho1_fn(fwd(X) if Y is None else Y)))
+                         logdet=lambda X, Y=None: np.log(rho0(X))
+                         - np.log(rho1(fwd(X) if Y is None else Y)))
     raise KeyError(f"unknown target {name!r}; catalog: identity, affine, "
                    "sine-shear, radial-compress, sine-radial, profile1d, kr")
 

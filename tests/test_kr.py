@@ -37,6 +37,47 @@ class TestGridDensity:
         assert rho.integral() == pytest.approx(1.0, abs=1e-12)
 
 
+class TestInterpolant:
+    """GridDensity.__call__ against the scipy interpolator it replaced."""
+
+    @pytest.mark.parametrize("shape", [(17,), (9, 6), (5, 7, 4)])
+    def test_matches_regular_grid_interpolator(self, rng, shape):
+        rho = GridDensity(rng.uniform(0.2, 3.0, size=shape))
+        d = len(shape)
+        nodes = np.stack([rng.choice(n, 30) for n in rho.nodes], -1)
+        faces = rng.uniform(size=(2 * d, d))
+        for j in range(d):
+            faces[2 * j, j], faces[2 * j + 1, j] = 0.0, 1.0
+        corners = np.array(np.meshgrid(*[[0.0, 1.0]] * d)).reshape(d, -1).T
+        outside = rng.uniform(size=(4 * d, d))
+        for j in range(d):
+            outside[4 * j:4 * j + 4, j] = [-1e-12, -0.3, 1 + 1e-12, 1.7]
+        nan_rows = rng.uniform(-0.5, 1.5, size=(3 * d, d))
+        for j in range(d):
+            nan_rows[3 * j, j] = np.nan
+            nan_rows[3 * j + 1] = np.nan
+            nan_rows[3 * j + 2] = 2.0                  # NaN and outside
+            nan_rows[3 * j + 2, j] = np.nan
+        X = np.concatenate([rng.uniform(size=(200, d)), nodes, faces,
+                            corners, outside, nan_rows])
+        oracle = RegularGridInterpolator(rho.nodes, rho.values,
+                                         bounds_error=False, fill_value=0.0)
+        got = rho(X)
+        assert got.shape == (len(X),)
+        np.testing.assert_allclose(got, oracle(X), rtol=0, atol=1e-14)
+        # infinite coordinates too (the oracle itself warns on them)
+        far = np.concatenate([outside, np.full((2, d), 0.5)])
+        far[-2:, 0] = [-np.inf, np.inf]
+        np.testing.assert_array_equal(rho(far), np.zeros(len(far)))
+        assert np.all(np.isnan(rho(nan_rows)))
+        np.testing.assert_array_equal(rho(nodes), rho.values[tuple(
+            np.rint(nodes * (np.array(shape) - 1)).astype(int).T)])
+
+    def test_rejects_points_of_another_dimension(self):
+        with pytest.raises(ValueError, match="shape"):
+            GridDensity.uniform((5, 5))(np.zeros((4, 3)))
+
+
 class TestMarginal:
     def test_uniform(self):
         rho = GridDensity.uniform((17, 17))
