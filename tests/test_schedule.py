@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from reluflow.pipeline import realize_target
 from reluflow.schedule import (
+    _FLOW_BLOCK_ROWS,
     MIN_FUSED_RUN,
     ControlSchedule,
     FlowOverflowError,
@@ -311,6 +312,28 @@ class TestCompiledSchedule:
             Z_ref, lz_ref = flow_segments(Y_ref, inv)
             assert np.abs(Z - Z_ref).max() <= 1e-7, name
             assert np.abs(lz - lz_ref).max() <= 1e-12, name
+
+    def test_blocks_cover_every_row(self, rng, corpus):
+        # loop segments share flow_segments' arithmetic, so every row must
+        # agree exactly across the block edges; an overflowing point in the
+        # last, partial block still raises
+        sched = random_schedule(rng, 2, n_segments=8)
+        X = rng.uniform(-1, 1, size=(2 * _FLOW_BLOCK_ROWS + 3, 2))
+        Y, ld = flow_points(X, sched)
+        Y_ref, ld_ref = flow_segments(X, sched)
+        np.testing.assert_array_equal(Y, Y_ref)
+        np.testing.assert_array_equal(ld, ld_ref)
+        Y, ld = flow_points(X, corpus["kr@0.0625"])
+        for start in (0, _FLOW_BLOCK_ROWS - 1, 2 * _FLOW_BLOCK_ROWS):
+            Y1, ld1 = flow_points(X[start:start + 2], corpus["kr@0.0625"])
+            np.testing.assert_array_equal(Y1, Y[start:start + 2])
+            np.testing.assert_array_equal(ld1, ld[start:start + 2])
+        # active only where x_0 > 20
+        overflow = schedule_of(([1.0, 0.0], [1000.0, 0.0], -20000.0, 1.0))
+        flow_points(X, overflow)
+        X[-1, 0] = 50.0
+        with pytest.raises(FlowOverflowError, match="segment"):
+            flow_points(X, overflow)
 
     def test_compiled_round_trip(self, corpus):
         X = np.random.default_rng(7).uniform(size=(4096, 2))
