@@ -6,7 +6,7 @@ the flow map and its Jacobian log-determinant have closed forms, which this
 package exploits to build schedules that realize (approximately) a target
 diffeomorphism and its pushforward measure:
 
-* geometric route: a row pass and a column pass, each staggering lattice
+* geometric route: one pass per coordinate, each staggering lattice
   bands with exact shear flows (incompressible) around one exact schedule
   for a one-coordinate monotone profile (compressible) that applies each
   band's piecewise-linear map;

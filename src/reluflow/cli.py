@@ -53,12 +53,14 @@ def _emit(out_path, text: str) -> None:
         Path(out_path).write_text(text)
 
 
-def _csv_text(header, rows) -> str:
+def _emit_csv(out_path, cfg: dict, header, rows) -> None:
+    """The config as a ``# config`` line, then the CSV header and rows."""
     buf = io.StringIO()
+    buf.write("# config " + json.dumps(cfg, sort_keys=True) + "\n")
     buf.write(",".join(header) + "\n")
     for row in rows:
         buf.write(",".join(_fmt(v) for v in row) + "\n")
-    return buf.getvalue()
+    _emit(out_path, buf.getvalue())
 
 
 def _json_text(obj) -> str:
@@ -143,9 +145,7 @@ def cmd_maurey(config: dict, out, seed: int) -> int:
     slope_d = rate_fit(means_d)
     rows.append(("slope_e", "", slope_e, ""))
     rows.append(("slope_delta", "", "", slope_d))
-    text = "# config " + json.dumps(cfg, sort_keys=True) + "\n"
-    text += _csv_text(("N", "seed", "e_N", "delta_N"), rows)
-    _emit(out, text)
+    _emit_csv(out, cfg, ("N", "seed", "e_N", "delta_N"), rows)
     return 0
 
 
@@ -165,9 +165,7 @@ def cmd_kr(config: dict, out, seed: int) -> int:
     header = tuple(f"x{k}" for k in range(d)) + tuple(
         f"phi{k}" for k in range(d))
     rows = [tuple(x) + tuple(y) for x, y in zip(X, Y)]
-    text = "# config " + json.dumps(cfg, sort_keys=True) + "\n"
-    text += _csv_text(header, rows)
-    _emit(out, text)
+    _emit_csv(out, cfg, header, rows)
     return 0
 
 
@@ -189,9 +187,7 @@ def cmd_counterexample(config: dict, out, seed: int) -> int:
         rows.append(("histogram_tv", params, tv))
     else:
         raise ValueError(f"unknown counterexample kind {cfg['kind']!r}")
-    text = "# config " + json.dumps(cfg, sort_keys=True) + "\n"
-    text += _csv_text(("metric", "params", "value"), rows)
-    _emit(out, text)
+    _emit_csv(out, cfg, ("metric", "params", "value"), rows)
     return 0
 
 
@@ -225,9 +221,7 @@ def cmd_simulate(config: dict, out, seed: int) -> int:
             t += tau / k
             snapshot()
     header = ("point", "t") + tuple(f"x{j}" for j in range(d)) + ("logdet",)
-    text = "# config " + json.dumps(cfg, sort_keys=True) + "\n"
-    text += _csv_text(header, rows)
-    _emit(out, text)
+    _emit_csv(out, cfg, header, rows)
     return 0
 
 
@@ -244,9 +238,7 @@ def cmd_evaluate(config: dict, out, seed: int) -> int:
     rows = [("lp_error", lp), ("tv_error", tv),
             ("n_segments", len(sched)), ("switch_count", sched.switch_count),
             ("total_duration", sched.total_duration)]
-    text = "# config " + json.dumps(cfg, sort_keys=True) + "\n"
-    text += _csv_text(("metric", "value"), rows)
-    _emit(out, text)
+    _emit_csv(out, cfg, ("metric", "value"), rows)
     return 0
 
 

@@ -284,6 +284,9 @@ class KRMap:
 
     def __call__(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
+        if X.ndim != 2 or X.shape[1] != self.d:
+            raise ValueError(f"points must have shape (n, {self.d}); got "
+                             f"{X.shape}")
         phi = np.empty_like(X)
         for start in range(0, X.shape[0], _CHUNK_ROWS):
             x, out = X[start:start + _CHUNK_ROWS], phi[start:start + _CHUNK_ROWS]

@@ -1,38 +1,36 @@
 """End-to-end realization of a target diffeomorphism as a neuron schedule.
 
-The geometric route realizes a planar target phi as the composite of two
-*band-tower passes*, each an incompressible rearrangement (shear flows)
-around one exact compressible profile:
+The geometric route realizes a target phi on a box in R^d as d *band-tower
+passes*.  With H_k = (phi_0, ..., phi_k, x_{k+1}, ..., x_{d-1}) and H_{-1}
+the identity, pass k realizes G_k = H_k ∘ H_{k-1}^{-1}, which moves
+coordinate k only, so the passes compose to H_{d-1} = phi.
 
-* the row pass realizes H(x) = (phi_1(x), x_2);
-* the column pass realizes G(y) = (y_1, phi_2(H^{-1}(y))), with H^{-1}
-  found by bisection on phi_1, so that G ∘ H = phi.
-
-A pass cuts the plane into ``cube_h``-wide lattice bands across its
-selection axis (x_2 for rows, y_1 for columns) and gives band k one
-increasing map of the other (moving) coordinate: the piecewise-linear
-interpolant, with knots at ``mesh_h``, of the target's pass map along the
-band's center line.  It then
+Pass k cuts the other d - 1 (selection) axes into ``cube_h``-wide lattice
+bands, over the range of pass j's values on an axis j < k and the domain's
+on j > k, and gives band l one increasing map of coordinate k: the
+piecewise-linear interpolant, with knots at ``mesh_h``, of G_k along the
+line through the band's centre.  It then
 
 1. staggers the bands: one divergence-free shear per interior band edge
-   translates everything past that edge by the stagger spacing S along the
-   moving axis, so band k sits k S further on; S is derived from the range
-   of the band maps so that the staggered bands and their images are
-   disjoint and in order;
-2. applies one exact profile schedule on the moving axis that carries, on
-   band k's copy, band k's map (the compressible factor: the gradient of a
-   convex function), interpolating monotonically across the gaps;
+   translates everything past that edge along axis k, one staircase per
+   selection axis, so that band l (in C order) sits l S further on; S is
+   derived from the range of the band maps so that the staggered bands and
+   their images are disjoint and in order;
+2. applies one exact profile schedule on axis k that carries, on band l's
+   copy, band l's map (the compressible factor: the gradient of a convex
+   function), interpolating monotonically across the gaps;
 3. unstacks the bands with the inverse shears.
 
-The shears only read the selection coordinate, which neither they nor the
+The shears only read selection coordinates, which neither they nor the
 profile change, so unstacking undoes stacking exactly; each shear ramps over
 a strip of width ``cube_h / 64`` centred on its band edge, and only points in
-those strips see a mixture of two neighbouring band maps.  Errors are then
+those strips see a mixture of neighbouring band maps.  Errors are then
 measured in map space and for the pushforward against the exact target.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,11 +103,6 @@ class RealizeResult:
         }
 
 
-def _is_identity_map(fn, domain: RectDomain, tol: float = 1e-12) -> bool:
-    X, _ = _cell_centers(domain, 9)
-    return float(np.max(np.abs(np.atleast_2d(fn(X)) - X))) <= tol
-
-
 def uniform_density(domain: RectDomain):
     vol = domain.volume
 
@@ -169,19 +162,22 @@ class BandTower:
         return self.stack + self.profile + self.unstack
 
 
-def band_tower(values: np.ndarray, knots: np.ndarray, edges: np.ndarray,
-               sel_axis: int, move_axis: int, d: int = 2) -> BandTower:
-    """Apply band k's increasing map on band k via a staggered tower.
+def band_tower(values: np.ndarray, knots: np.ndarray, selection: list,
+               move_axis: int, d: int) -> BandTower:
+    """Apply band l's increasing map on band l via a staggered tower.
 
-    ``values[k, j]`` is band k's map at ``knots[j]``; the map applied is its
+    ``values[l, j]`` is band l's map at ``knots[j]``; the map applied is its
     piecewise-linear interpolant (affine beyond the end knots) along
-    ``move_axis``.  Band k is edges[k] <= x_sel < edges[k + 1], the two
-    outermost bands extending to infinity, with ramps of width
-    ``_RAMP_FRACTION`` times the band width centred on the interior edges.
+    ``move_axis``.  ``selection`` lists (axis, edges) for each selection
+    axis; band l is the l-th lattice cell in C order, the outermost bands of
+    each axis extending to infinity, with ramps of width ``_RAMP_FRACTION``
+    times the band width centred on the interior edges.  Stacking moves band
+    l by l S: one staircase per selection axis, whose jump is S times the
+    number of bands of the later selection axes.
     """
     values = np.asarray(values, dtype=float)
     K = values.shape[0]
-    if len(edges) != K + 1:
+    if K != math.prod(len(edges) - 1 for _, edges in selection):
         raise ValueError("need one band map per band")
     span = max(knots[-1] - knots[0], values.max() - values.min())
     S = float(_STAGGER_FACTOR * span)
@@ -192,48 +188,52 @@ def band_tower(values: np.ndarray, knots: np.ndarray, edges: np.ndarray,
     if not len(profile):    # every band map is the identity
         return BandTower(ControlSchedule(), ControlSchedule(),
                          ControlSchedule(), K, 0.0)
-    half = 0.5 * _RAMP_FRACTION * (edges[1] - edges[0])
-    stack = staircase(move_axis, sel_axis, edges[1:-1], S, half, d)
+    stairs, stride = [], 1
+    for axis, edges in reversed(selection):
+        half = 0.5 * _RAMP_FRACTION * (edges[1] - edges[0])
+        stairs.append(staircase(move_axis, axis, edges[1:-1], S * stride,
+                                half, d))
+        stride *= len(edges) - 1
+    stack = ControlSchedule.concat(reversed(stairs))
     return BandTower(stack, profile, invert_schedule(stack), K, S)
 
 
-def _check_increasing(values: np.ndarray, name: str, h: float) -> None:
-    if not np.all(np.diff(values, axis=1) > 0):
-        raise FactorizationError(f"a {name} band map is not strictly "
-                                 f"increasing at knot pitch {h:g}")
+def _pass_maps(target: TargetMap, k: int, box: list, h: float,
+               cube_h: float) -> tuple:
+    """Pass k's band maps of coordinate k, sampled at knots of pitch h.
 
+    ``box[j]`` is the (lo, hi) range of coordinate j before pass k: pass
+    j's values for j < k, the domain's range otherwise.  The bands are the
+    ``cube_h`` lattice cells of the box on the other axes, in C order, and
+    band l maps y_k -> phi_k(H_{k-1}^{-1}(y)) along the line through its
+    centre.  H_{k-1}^{-1} is solved one coordinate j < k at a time, by
+    bisection of phi_j in x_j with the other coordinates at their current
+    values: exact for d = 2 and for triangular targets, whose phi_j reads
+    x_0 ... x_j only, and one Gauss-Seidel sweep otherwise.
 
-def _band_maps(target: TargetMap, h: float, cube_h: float) -> tuple:
-    """Row and column band maps sampled at knots of pitch h.
-
-    Row band k maps x_1 -> phi_1(x_1, r_k) along its center line x_2 = r_k;
-    column band k maps x_2 -> phi_2(x_1, x_2) where phi_1(x_1, x_2) = c_k
-    (x_1 clamped to the domain), its center line y_1 = c_k.  Returns (row_values, row_knots, row_edges,
-    col_values, col_knots, col_edges); raises if some band map is not
-    strictly increasing.
+    Returns (values, knots, selection) as ``band_tower`` takes them; raises
+    if some band map is not strictly increasing.
     """
     lo, hi = target.domain.lower, target.domain.upper
-    fn = target.fn
-
-    row_knots = _knots(lo[0], hi[0], h)
-    row_edges = _lattice_edges(lo[1], hi[1], cube_h)
-    rows = 0.5 * (row_edges[:-1] + row_edges[1:])
-    # one row per band, knots along it; columns reordered to (x_1, x_2)
-    X = grid_points([rows, row_knots])[:, [1, 0]]
-    row_values = fn(X)[:, 0].reshape(len(rows), len(row_knots))
-    _check_increasing(row_values, "row", h)
-
-    col_knots = _knots(lo[1], hi[1], h)
-    col_edges = _lattice_edges(row_values.min(), row_values.max(), cube_h)
-    cols = 0.5 * (col_edges[:-1] + col_edges[1:])
-    Y = grid_points([cols, col_knots])
-    x2 = Y[:, 1]
-    x1 = bisect_increasing(lambda t: fn(np.column_stack([t, x2]))[:, 0],
-                           Y[:, 0], lo[0], hi[0], 60)
-    col_values = fn(np.column_stack([x1, x2]))[:, 1].reshape(len(cols),
-                                                             len(col_knots))
-    _check_increasing(col_values, "column", h)
-    return row_values, row_knots, row_edges, col_values, col_knots, col_edges
+    knots = _knots(*box[k], h)
+    selection = [(j, _lattice_edges(*box[j], cube_h))
+                 for j in range(len(box)) if j != k]
+    centres = [0.5 * (edges[:-1] + edges[1:]) for _, edges in selection]
+    # one row per (band, knot); columns reordered to (y_0, ..., y_{d-1})
+    order = np.argsort([j for j, _ in selection] + [k])
+    Y = grid_points(centres + [knots])[:, order]
+    X = Y.copy()
+    for j in range(k):
+        def phi_j(t, j=j):
+            Z = X.copy()
+            Z[:, j] = t
+            return target.fn(Z)[:, j]
+        X[:, j] = bisect_increasing(phi_j, Y[:, j], lo[j], hi[j], 60)
+    values = target.fn(X)[:, k].reshape(-1, len(knots))
+    if not np.all(np.diff(values, axis=1) > 0):
+        raise FactorizationError(f"a pass-{k + 1} band map is not strictly "
+                                 f"increasing at knot pitch {h:g}")
+    return values, knots, selection
 
 
 def realize_target(target: TargetMap, epsilon: float = 0.1,
@@ -241,17 +241,17 @@ def realize_target(target: TargetMap, epsilon: float = 0.1,
                    p: float = 2.0, resolution: int = 128) -> RealizeResult:
     """Build a schedule realizing ``target`` and report its errors.
 
-    Special cases: the identity gets an empty schedule; a one-coordinate
-    profile target is realized exactly by its slope-change schedule.
-    Otherwise (planar targets only) the row and column band-tower passes
-    are built with band width ``cube_h`` (default ``mesh_h``) and knot pitch
-    ``mesh_h``.  If some band map is not strictly increasing at its knots a
-    :class:`FactorizationError` is raised: targets whose row or column maps
-    are not increasing (a quarter turn, say) are outside this route.
+    A one-coordinate profile target is realized exactly by its
+    slope-change schedule.  Otherwise pass k = 0 ... d-1 is a band tower on
+    axis k, with band width ``cube_h`` (default ``mesh_h``) and knot pitch
+    ``mesh_h``; the identity gets an empty schedule this way.  If some band
+    map is not strictly increasing at its knots a
+    :class:`FactorizationError` is raised: targets such as a quarter turn
+    are outside this route.
 
-    Stages: ``cells-to-tower`` stacks the row bands, ``profile`` is the row
-    profile, and ``tower-to-image`` unstacks the rows and runs the whole
-    column pass, itemized in its detail.
+    Stages: ``pass-1`` ... ``pass-d``, one per pass, each itemizing its
+    axis, bands, stagger, knots per band and stack, profile and unstack
+    segments.
     """
     d = target.domain.d
     cube_h = cube_h if cube_h is not None else mesh_h
@@ -261,12 +261,6 @@ def realize_target(target: TargetMap, epsilon: float = 0.1,
     if resolution < 1:
         raise ValueError(f"resolution must be >= 1; got {resolution}")
 
-    if _is_identity_map(target.fn, target.domain):
-        schedule = ControlSchedule()
-        lp, tv = map_errors(target, schedule, p, resolution)
-        return RealizeResult(schedule, lp, tv, p, epsilon, mesh_h, cube_h,
-                             [StageReport("identity", 0, 0)])
-
     if target.profile is not None:
         schedule = profile_schedule(target.profile, d=d, axis=0)
         lp, tv = map_errors(target, schedule, p, resolution)
@@ -274,30 +268,20 @@ def realize_target(target: TargetMap, epsilon: float = 0.1,
         return RealizeResult(schedule, lp, tv, p, epsilon, mesh_h, cube_h,
                              [stage])
 
-    if d != 2:
-        raise ValueError(f"the band-tower route is planar; got d = {d}")
-    row_values, row_knots, row_edges, col_values, col_knots, col_edges = \
-        _band_maps(target, mesh_h, cube_h)
-    rows = band_tower(row_values, row_knots, row_edges, sel_axis=1,
-                      move_axis=0)
-    cols = band_tower(col_values, col_knots, col_edges, sel_axis=0,
-                      move_axis=1)
-    tail = rows.unstack + cols.schedule
-    stages = [
-        StageReport("cells-to-tower", len(rows.stack),
-                    rows.stack.switch_count,
-                    {"bands": rows.n_bands, "stagger": rows.stagger,
-                     "ramp_width": _RAMP_FRACTION * cube_h}),
-        StageReport("profile", len(rows.profile), rows.profile.switch_count,
-                    {"knots_per_band": len(row_knots)}),
-        StageReport("tower-to-image", len(tail), tail.switch_count,
-                    {"row_unstack_segments": len(rows.unstack),
-                     "column_bands": cols.n_bands,
-                     "column_stagger": cols.stagger,
-                     "column_stack_segments": len(cols.stack),
-                     "column_profile_segments": len(cols.profile),
-                     "column_unstack_segments": len(cols.unstack)}),
-    ]
-    schedule = rows.schedule + cols.schedule
+    box = list(zip(target.domain.lower, target.domain.upper))
+    passes, stages = [], []
+    for k in range(d):
+        values, knots, selection = _pass_maps(target, k, box, mesh_h, cube_h)
+        box[k] = (values.min(), values.max())
+        tower = band_tower(values, knots, selection, k, d)
+        passes.append(tower.schedule)
+        stages.append(StageReport(
+            f"pass-{k + 1}", len(passes[-1]), passes[-1].switch_count,
+            {"axis": k, "bands": tower.n_bands, "stagger": tower.stagger,
+             "knots_per_band": len(knots),
+             "stack_segments": len(tower.stack),
+             "profile_segments": len(tower.profile),
+             "unstack_segments": len(tower.unstack)}))
+    schedule = ControlSchedule.concat(passes)
     lp, tv = map_errors(target, schedule, p, resolution)
     return RealizeResult(schedule, lp, tv, p, epsilon, mesh_h, cube_h, stages)

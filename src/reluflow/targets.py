@@ -155,7 +155,8 @@ def get_target(name: str, params: dict = None) -> TargetMap:
         back = kr_map(rho1, rho0)
         # exact for the discrete KR map: its conditional-CDF ratios telescope
         # to rho0(x) / rho1(phi(x)) of the multilinear density interpolants
-        return TargetMap(name, fwd, UNIT_SQUARE, inverse=back,
+        cube = RectDomain([0.0] * fwd.d, [1.0] * fwd.d)
+        return TargetMap(name, fwd, cube, inverse=back,
                          logdet=lambda X, Y=None: np.log(rho0(X))
                          - np.log(rho1(fwd(X) if Y is None else Y)))
     raise KeyError(f"unknown target {name!r}; catalog: identity, affine, "

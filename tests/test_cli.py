@@ -73,6 +73,26 @@ class TestRealizeCommand:
         assert (tmp_path / "again.json").read_text() == original
 
 
+    def test_3d_kr_target_realizes_and_evaluates(self, tmp_path):
+        X, Y, Z = np.meshgrid(*[np.linspace(0.0, 1.0, 5)] * 3, indexing="ij")
+        tilted = (1 + 0.4 * X + 0.2 * Y + 0.3 * Z) / 1.45   # integral 1
+        params = {"rho0": {"values": np.ones((5, 5, 5)).tolist()},
+                  "rho1": {"values": tilted.tolist()}}
+        code, text = run(tmp_path, "realize",
+                         {"target": "kr", "target_params": params,
+                          "mesh_h": 0.25, "resolution": 16},
+                         out_name="report.json")
+        assert code == 0
+        report = json.loads(text)
+        assert [s["axis"] for s in report["stages"]] == [0, 1, 2]
+        code, text = run(tmp_path, "evaluate",
+                         {"schedule": report["schedule_file"], "target": "kr",
+                          "target_params": params, "resolution": 16},
+                         out_name="eval.csv")
+        assert code == 0
+        assert "lp_error," + repr(report["lp_error"]) in text
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("verb,config", [
         ("maurey", {"N": [8, 16, 32, 64], "n_seeds": 2, "n_eval": 8}),

@@ -306,6 +306,11 @@ class TestKrMap:
         corners = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_array_equal(fn(corners), corners)
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_rejects_points_of_another_width(self, width):
+        with pytest.raises(ValueError, match=rf"\(2, {width}\)"):
+            get_target("kr").fn(np.full((2, width), 0.5))
+
     def test_chunk_boundary_rows_match_single_rows(self, rng):
         rho1 = GridDensity.from_function(
             lambda X: 1 + 0.4 * X[:, 0] + 0.2 * X[:, 1], (65, 65))

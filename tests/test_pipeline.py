@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from reluflow.factorize import FactorizationError
+from reluflow.kr import GridDensity
 from reluflow.mesh import RectDomain
 from reluflow.pipeline import (
     RealizeResult,
@@ -9,7 +10,7 @@ from reluflow.pipeline import (
     realize_target,
     uniform_density,
 )
-from reluflow.schedule import ControlSchedule, flow_points
+from reluflow.schedule import ControlSchedule, flow_points, invert_schedule
 from reluflow.targets import TargetMap, get_target
 
 UNIT_SQUARE = RectDomain([0.0, 0.0], [1.0, 1.0])
@@ -22,7 +23,7 @@ class TestSpecialCases:
         assert r.lp_error == 0.0
         assert r.tv_error <= 1e-9
         assert r.ok
-        assert r.stages[0].name == "identity"
+        assert [s.name for s in r.stages] == ["pass-1", "pass-2"]
 
     def test_profile_target_is_exact(self):
         r = realize_target(get_target("profile1d"), resolution=64)
@@ -58,7 +59,7 @@ class TestGenericPipeline:
         r = realize_target(get_target("sine-shear"), mesh_h=0.25,
                            resolution=32)
         names = [s.name for s in r.stages]
-        assert names == ["cells-to-tower", "profile", "tower-to-image"]
+        assert names == ["pass-1", "pass-2"]
         assert np.isfinite(r.lp_error) and np.isfinite(r.tv_error)
         assert r.schedule.d in (None, 2)
 
@@ -67,7 +68,7 @@ class TestGenericPipeline:
         r = realize_target(get_target("sine-shear"), mesh_h=0.25,
                            resolution=32)
         text = json.dumps(r.to_report(), sort_keys=True)
-        assert "cells-to-tower" in text
+        assert "pass-1" in text
 
     def test_orientation_reversing_target_rejected(self):
         flip = TargetMap("flip", lambda X: np.atleast_2d(X)[:, ::-1],
@@ -92,6 +93,26 @@ class TestGenericPipeline:
                            resolution=32)
         total = sum(s.n_segments for s in r.stages)
         assert total == len(r.schedule)
+
+
+class TestThreeDimensions:
+    def test_kr_target_in_three_passes(self):
+        # uniform -> 1 + 0.4x + 0.2y + 0.3z on a 17^3 grid: one band-tower
+        # pass per axis, at criterion 5's gates
+        shape = (17, 17, 17)
+        rho1 = GridDensity.from_function(
+            lambda X: 1 + 0.4 * X[:, 0] + 0.2 * X[:, 1] + 0.3 * X[:, 2],
+            shape)
+        t = get_target("kr", {"rho0": GridDensity.uniform(shape),
+                              "rho1": rho1})
+        r = realize_target(t, mesh_h=0.25, resolution=16)
+        assert r.lp_error <= 0.1 and r.tv_error <= 0.2
+        assert [s.detail["axis"] for s in r.stages] == [0, 1, 2]
+        assert sum(s.n_segments for s in r.stages) == len(r.schedule)
+        X = np.random.default_rng(3).uniform(size=(2000, 3))
+        Y, _ = flow_points(X, r.schedule)
+        Z, _ = flow_points(Y, invert_schedule(r.schedule))
+        assert np.abs(Z - X).max() <= 1e-8
 
 
 class TestMapErrors:
