@@ -27,12 +27,12 @@ exact piecewise-linear map.  A shear run (k != l, s = 0) adds f(x_k) to
 x_l; a profile run (k = l) maps x_k monotonically, with a piecewise-constant
 log-det.  Both hold their map as a ``PiecewiseLinear`` (knots, values and
 one slope per piece), the package's one form of a 1-d piecewise-linear map.
-A shear run is fused in difference form: its slopes accumulate the slope
-jump at each kink and its values follow from one anchor value by a
-cumulative sum, so no large products cancel.  Other segments, short runs
-and segments past the exp overflow guard stay on the per-segment kernel, in
-order.  The two kernels agree up to rounding; at a kink, where the log-det
-is undefined, they may take opposite one-sided values.
+Both runs are fused in difference form: their slopes (log-slopes for a
+profile run) accumulate the jump at each kink and their values follow from
+one anchor by a cumulative sum, so no large products cancel.  Other
+segments, short runs and segments past the exp overflow guard stay on the
+per-segment kernel, in order.  The kernels agree up to rounding; at a kink,
+where the log-det is undefined, they may take opposite one-sided values.
 
 All flow operations are vectorized over arrays of points with shape (N, d);
 a single point x is the batch x[None].
@@ -41,7 +41,6 @@ a single point x is the batch x[None].
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -279,15 +278,13 @@ class PiecewiseLinear:
                                                         self.values]))
 
     @classmethod
-    def through(cls, knots, values, left=None,
-                right=None) -> "PiecewiseLinear":
-        """The interpolant of ``values`` at ``knots``; the end pieces have
-        slopes ``left`` and ``right``, by default the end chords."""
+    def through(cls, knots, values) -> "PiecewiseLinear":
+        """The interpolant of ``values`` at ``knots``, extended by the end
+        chords."""
         with np.errstate(all="ignore"):    # see well_formed
             chords = np.diff(values) / np.diff(knots)
-        left = chords[0] if left is None else left
-        right = chords[-1] if right is None else right
-        return cls(knots, values, np.concatenate([[left], chords, [right]]))
+        return cls(knots, values, np.concatenate([chords[:1], chords,
+                                                  chords[-1:]]))
 
     @classmethod
     def from_slopes(cls, knots, slopes, value0: float) -> "PiecewiseLinear":
@@ -319,6 +316,15 @@ class PiecewiseLinear:
         return ok and (not increasing or bool(np.all(self.slopes > 0)))
 
 
+def _kinked(kinks: np.ndarray, left: float, jumps: np.ndarray) -> tuple:
+    """The distinct ``kinks`` as knots, each kink's knot index, and the
+    per-piece slopes of a function with slope ``left`` left of every kink
+    whose slope steps by ``jumps[i]`` across kinks[i]."""
+    knots, kink = np.unique(kinks, return_inverse=True)
+    steps = np.cumsum(np.bincount(kink, jumps, len(knots)))
+    return knots, kink, left + np.concatenate([[0.0], steps])
+
+
 @dataclass(frozen=True)
 class ShearRun:
     """A run of shears reading x_read and writing x_write != x_read.
@@ -341,11 +347,10 @@ class ShearRun:
         segment's kink raises the slope by |alpha| gain.  The values follow
         from f at the first knot by a cumulative sum over the pieces.
         """
-        knots, kink = np.unique(-b / alpha, return_inverse=True)
-        jumps = np.bincount(kink, np.abs(alpha) * gain, len(knots))
         falling = alpha < 0
-        left = float(alpha[falling] @ gain[falling])
-        slopes = left + np.concatenate([[0.0], np.cumsum(jumps)])
+        knots, _, slopes = _kinked(-b / alpha,
+                                   float(alpha[falling] @ gain[falling]),
+                                   np.abs(alpha) * gain)
         value0 = float(np.maximum(knots[0] * alpha[falling] + b[falling], 0.0)
                        @ gain[falling])
         return cls(read, write,
@@ -381,57 +386,36 @@ class ProfileRun:
         """Compose the 1-d maps of the segments reading and writing x_axis
         with a_axis = alpha, bias b and exponent arg = s tau, left to right.
 
-        Each new kink c is pulled back through the map so far to a knot
-        u with g(u) = c.  The segment then maps each stored value v on its
-        active side to c + (v - c) e^{s tau}, and its exponent is added to
-        the log-det of every piece on that side.
+        Segment i scales its active side about its kink c_i by e^{arg_i}; its
+        knot u_i is c_i pulled back through the segments before it, all in
+        one backward sweep.  Crossing u_i changes the log-slope by
+        sign(alpha_i) arg_i, and g(u_last) = c_last anchors the values.
         """
-        n = len(b)
-        uv, L = np.empty((2, n)), np.zeros(n + 1)
-        u, v = uv
-        m, left, right = 0, 1.0, 1.0
-        # exp(arg) is within range (|arg| <= the overflow guard), but the end
-        # slopes may over- or underflow; well_formed rejects such a run
+        c = -b / alpha
+        u, moved = c.copy(), np.empty_like(c)
+        # a segment's inverse lowers what it moves iff it dilates above c_i
+        pulls = [np.minimum if lower else np.maximum
+                 for lower in ((alpha > 0) == (arg > 0)).tolist()]
+        # exp(arg) is within the overflow guard, but knots and slopes may
+        # over- or underflow; well_formed rejects such a run
         with np.errstate(all="ignore"):
-            for alpha, b, arg in zip(alpha.tolist(), b.tolist(),
-                                     arg.tolist()):
-                c = -b / alpha
-                # pull c back into piece j of the map so far; q is its knot
-                j = int(np.searchsorted(v[:m], c, side="right")) if m else 0
-                if m == 0:
-                    x = c
-                elif j == 0:
-                    x = u[0] + (c - v[0]) / left
-                elif j == m:
-                    x = u[m - 1] + (c - v[m - 1]) / right
-                else:
-                    x = u[j - 1] + (c - v[j - 1]) * (
-                        (u[j] - u[j - 1]) / (v[j] - v[j - 1]))
-                if j > 0 and x <= u[j - 1]:
-                    q = j - 1
-                elif j < m and x >= u[j]:
-                    q = j
-                else:
-                    q = j
-                    uv[:, q + 1:m + 1] = uv[:, q:m]
-                    L[q + 1:m + 2] = L[q:m + 1]
-                    u[q], v[q] = x, c
-                    m += 1
-                e = math.exp(arg)
-                if alpha > 0:
-                    active = v[q + 1:m]
-                    L[q + 1:m + 1] += arg
-                    right *= e
-                else:
-                    active = v[:q]
-                    L[:q + 1] += arg
-                    left *= e
-                if active.size:
-                    active -= c
-                    active *= e
-                    active += c
-        g = PiecewiseLinear.through(u[:m].copy(), v[:m].copy(), left, right)
-        return cls(axis, g, L[:m + 1].copy())
+            for i, ci, ei, pull in zip(range(len(c) - 2, -1, -1),
+                                       c[-2::-1].tolist(),
+                                       np.exp(-arg[-2::-1]).tolist(),
+                                       pulls[-2::-1]):
+                # c + (y - c) e, not y e + c (1 - e): a kink on c stays on c
+                later, out = u[i + 1:], moved[i + 1:]
+                np.subtract(later, ci, out=out)
+                out *= ei
+                out += ci
+                pull(later, out, out=later)
+            knots, kink, logdets = _kinked(u, float(arg[alpha < 0].sum()),
+                                           np.sign(alpha) * arg)
+            slopes = np.exp(logdets)
+            values = PiecewiseLinear.from_slopes(knots, slopes, 0.0).values
+            g = PiecewiseLinear(knots, values + (c[-1] - values[kink[-1]]),
+                                slopes)
+        return cls(axis, g, logdets)
 
     def well_formed(self) -> bool:
         return (self.g.well_formed(increasing=True)

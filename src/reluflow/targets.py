@@ -101,13 +101,20 @@ def get_target(name: str, params: dict = None) -> TargetMap:
     if name == "affine":
         M = np.asarray(params.get("matrix", _DEFAULT_AFFINE_M), dtype=float)
         c = np.asarray(params.get("offset", _DEFAULT_AFFINE_C), dtype=float)
+        if M.ndim != 2 or M.shape[0] != M.shape[1]:
+            raise ValueError(f'affine target: "matrix" must be square; got '
+                             f'shape {M.shape}')
+        d = M.shape[0]
+        if c.shape != (d,):
+            raise ValueError(f'affine target: "offset" must have length {d}, '
+                             f'the size of "matrix"; got shape {c.shape}')
         if np.linalg.det(M) <= 0:
             raise ValueError("affine target must be orientation preserving")
         M_inv = np.linalg.inv(M)
         log_det_M = float(np.log(np.linalg.det(M)))
         return TargetMap(name,
                          lambda X: np.atleast_2d(X) @ M.T + c,
-                         UNIT_SQUARE,
+                         RectDomain([0.0] * d, [1.0] * d),
                          inverse=lambda Y: (np.atleast_2d(Y) - c) @ M_inv.T,
                          logdet=lambda X, Y=None: _zero_logdet(X) + log_det_M)
     if name == "sine-shear":
@@ -159,8 +166,7 @@ def get_target(name: str, params: dict = None) -> TargetMap:
         return TargetMap(name, fwd, cube, inverse=back,
                          logdet=lambda X, Y=None: np.log(rho0(X))
                          - np.log(rho1(fwd(X) if Y is None else Y)))
-    raise KeyError(f"unknown target {name!r}; catalog: identity, affine, "
-                   "sine-shear, radial-compress, sine-radial, profile1d, kr")
+    raise KeyError(f"unknown target {name!r}; catalog: {', '.join(CATALOG)}")
 
 
 def density_from_spec(spec, shape=(65, 65)) -> GridDensity:

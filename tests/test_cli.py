@@ -92,6 +92,26 @@ class TestRealizeCommand:
         assert code == 0
         assert "lp_error," + repr(report["lp_error"]) in text
 
+    def test_3d_affine_target_realizes_and_evaluates(self, tmp_path):
+        params = {"matrix": [[1.1, 0.1, 0.0], [0.0, 0.85, 0.05],
+                             [0.0, 0.0, 0.95]],
+                  "offset": [0.02, 0.05, 0.01]}
+        code, text = run(tmp_path, "realize",
+                         {"target": "affine", "target_params": params,
+                          "mesh_h": 0.25, "resolution": 16},
+                         out_name="report.json")
+        assert code == 0
+        report = json.loads(text)
+        assert [s["axis"] for s in report["stages"]] == [0, 1, 2]
+        assert report["lp_error"] <= 0.02 and report["tv_error"] <= 0.05
+        code, text = run(tmp_path, "evaluate",
+                         {"schedule": report["schedule_file"],
+                          "target": "affine", "target_params": params,
+                          "resolution": 16},
+                         out_name="eval.csv")
+        assert code == 0
+        assert "lp_error," + repr(report["lp_error"]) in text
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("verb,config", [
@@ -276,6 +296,16 @@ class TestBadInputs:
         err = run_failing(tmp_path, capsys, "realize",
                           {**sizes, "resolution": 16})
         assert "mesh_h and cube_h must be finite and > 0" in err
+
+    @pytest.mark.parametrize("params,key", [
+        ({"matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, '"matrix"'),
+        ({"matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [0.0, 0.0, 0.0]},
+         '"offset"'),
+    ], ids=["non-square-matrix", "long-offset"])
+    def test_malformed_affine_target(self, tmp_path, capsys, params, key):
+        err = run_failing(tmp_path, capsys, "realize",
+                          {"target": "affine", "target_params": params})
+        assert "affine target: " + key in err
 
     def test_missing_schedule_file(self, tmp_path, capsys):
         err = run_failing(tmp_path, capsys, "evaluate",

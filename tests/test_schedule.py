@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reluflow.compressible import profile_schedule, slope_profile
 from reluflow.pipeline import realize_target
 from reluflow.schedule import (
     _FLOW_BLOCK_ROWS,
@@ -241,15 +242,16 @@ def test_segment_group_property(x, w, a, b, t):
 class TestPiecewiseLinear:
     def test_two_constructions_agree(self):
         knots = np.array([0.0, 0.5, 2.0])
-        by_slopes = PiecewiseLinear.from_slopes(knots, np.array([3.0, 2.0, 0.5,
-                                                                 4.0]), 1.0)
+        # end slopes equal to the end chords, which ``through`` extends by
+        by_slopes = PiecewiseLinear.from_slopes(knots, np.array([2.0, 2.0, 0.5,
+                                                                 0.5]), 1.0)
         np.testing.assert_array_equal(by_slopes.values, [1.0, 2.0, 2.75])
-        through = PiecewiseLinear.through(knots, by_slopes.values, 3.0, 4.0)
+        through = PiecewiseLinear.through(knots, by_slopes.values)
         np.testing.assert_array_equal(through.slopes, by_slopes.slopes)
         x = np.array([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.0])
         np.testing.assert_array_equal(by_slopes(x), through(x))
         np.testing.assert_array_equal(by_slopes(x),
-                                      [-2.0, 1.0, 1.5, 2.0, 2.25, 2.75, 6.75])
+                                      [-1.0, 1.0, 1.5, 2.0, 2.25, 2.75, 3.25])
 
     def test_end_pieces_default_to_end_chords(self):
         f = PiecewiseLinear.through(np.array([0.0, 1.0, 2.0]),
@@ -443,6 +445,78 @@ class TestCompiledSchedule:
     def test_compiled_once(self, rng):
         sched = random_schedule(rng, 2, n_segments=3)
         assert compile_schedule(sched) is compile_schedule(sched)
+
+
+class TestFusedProfileRuns:
+    """Profile runs whose kinks coincide, which the fused map must merge
+    into one knot, compared with the per-segment kernel off the kinks."""
+
+    @staticmethod
+    def fused(rows):
+        """The schedule of ``rows`` (1-d) and its one fused ProfileRun."""
+        sched = schedule_of(*rows)
+        steps = compile_schedule(sched).steps
+        assert len(steps) == 1 and isinstance(steps[0], ProfileRun)
+        return sched, steps[0]
+
+    @staticmethod
+    def assert_matches_segments(sched, run, rng):
+        x = rng.uniform(-2.0, 2.0, size=500)
+        x = x[np.abs(x[:, None] - run.g.knots).min(axis=1) > 1e-9]
+        Y, ld = flow_points(x[:, None], sched)
+        Y_ref, ld_ref = flow_segments(x[:, None], sched)
+        np.testing.assert_allclose(Y, Y_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ld, ld_ref, rtol=0, atol=1e-12)
+
+    def test_repeated_segment(self, rng):
+        for w, a in ((0.7, 1.0), (-0.7, 1.0), (0.7, -1.0), (-0.7, -1.0)):
+            sched, run = self.fused([([w], [a], 0.3, 0.05)]
+                                    * (2 * MIN_FUSED_RUN))
+            np.testing.assert_array_equal(run.g.knots, [-0.3 * a])
+            self.assert_matches_segments(sched, run, rng)
+
+    def test_both_signs_about_one_kink(self, rng):
+        rows = [([rng.uniform(-2, 2)], [sign], -0.4 * sign, 0.05)
+                for sign in (1.0, -1.0) * MIN_FUSED_RUN]
+        sched, run = self.fused(rows)
+        np.testing.assert_array_equal(run.g.knots, [0.4])
+        self.assert_matches_segments(sched, run, rng)
+
+    def test_mixed_run_with_repeating_kinks(self, rng):
+        # kinks from three values, so later kinks often repeat earlier ones
+        rows = [([rng.uniform(-2, 2)], [a], -a * c, rng.uniform(0, 0.1))
+                for a, c in zip(rng.choice([-1.0, 1.0], 4 * MIN_FUSED_RUN),
+                                rng.choice([-0.5, 0.0, 0.3],
+                                           4 * MIN_FUSED_RUN))]
+        sched, run = self.fused(rows)
+        self.assert_matches_segments(sched, run, rng)
+
+    def test_contracting_and_dilating(self, rng):
+        # rates s = w a of both signs and sizes, up to e^{+-2} per segment
+        rows = [([w], [a], rng.uniform(-1, 1), 0.5)
+                for w, a in zip(rng.choice([-4.0, -0.5, 0.5, 4.0],
+                                           2 * MIN_FUSED_RUN),
+                                rng.choice([-1.0, 1.0], 2 * MIN_FUSED_RUN))]
+        sched, run = self.fused(rows)
+        assert run.logdets.min() < 0 < run.logdets.max()
+        self.assert_matches_segments(sched, run, rng)
+
+    @pytest.mark.parametrize("beta0", [0.3, -0.3])
+    def test_profile_schedule_reproduces_the_profile(self, rng, beta0):
+        # one stage per slope change and the two translation segments,
+        # whose knots lie left of the profile's
+        n = MIN_FUSED_RUN + 4
+        p = slope_profile(np.linspace(0.0, 1.0, n + 1),
+                          rng.uniform(0.5, 2.0, n), beta0)
+        _, run = self.fused(zip(*(getattr(profile_schedule(p), name)
+                                  for name in ("w", "a", "b", "duration"))))
+        assert len(run.g.knots) == n + 2
+        np.testing.assert_allclose(run.g.knots[2:], p.knots[:-1], rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(run.g(p.knots), p.values, rtol=0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(run.logdets[3:], np.log(p.slopes[1:-1]),
+                                   rtol=0, atol=1e-12)
 
 
 @st.composite

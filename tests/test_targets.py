@@ -18,6 +18,27 @@ class TestCatalog:
         with pytest.raises(KeyError):
             get_target("moebius")
 
+    def test_unknown_name_lists_the_catalog(self):
+        with pytest.raises(KeyError, match="catalog: " + ", ".join(CATALOG)):
+            get_target("moebius")
+
+    def test_affine_domain_follows_the_matrix(self):
+        t = get_target("affine", {"matrix": np.diag([1.1, 0.9, 1.2]),
+                                  "offset": [0.1, 0.0, -0.1]})
+        assert t.domain.d == 3
+        np.testing.assert_allclose(t.fn(np.ones((1, 3))), [[1.2, 0.9, 1.1]])
+        assert get_target("affine").domain.d == 2
+
+    @pytest.mark.parametrize("params,key", [
+        ({"matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, '"matrix"'),
+        ({"matrix": [1.0, 1.0]}, '"matrix"'),
+        ({"offset": [0.0, 0.0, 0.0]}, '"offset"'),
+        ({"matrix": np.eye(3)}, '"offset"'),
+    ])
+    def test_affine_shapes_checked(self, params, key):
+        with pytest.raises(ValueError, match="affine target: " + key):
+            get_target("affine", params)
+
     def test_affine_orientation_guard(self):
         with pytest.raises(ValueError):
             get_target("affine", {"matrix": [[-1.0, 0.0], [0.0, 1.0]]})
