@@ -393,7 +393,8 @@ class ProfileRun:
         """
         c = -b / alpha
         u, moved = c.copy(), np.empty_like(c)
-        # a segment's inverse lowers what it moves iff it dilates above c_i
+        # a segment raises what it moves iff it dilates above c_i or
+        # contracts below it; its inverse then lowers them
         pulls = [np.minimum if lower else np.maximum
                  for lower in ((alpha > 0) == (arg > 0)).tolist()]
         # exp(arg) is within the overflow guard, but knots and slopes may
