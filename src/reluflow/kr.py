@@ -32,11 +32,10 @@ from functools import cached_property
 
 import numpy as np
 
-from reluflow.numerics import bisect_increasing, grid_points, trapezoid_all
+from reluflow.numerics import grid_points, solve_increasing, trapezoid_all
 
-BISECT_TOL = 1e-10
-# halvings of [0, 1] that bring the bracket below BISECT_TOL
-_BISECT_ITERS = int(np.ceil(np.log2(1.0 / BISECT_TOL))) + 1
+# width of the bracket in which the isotopy inverse is solved
+ISOTOPY_TOL = 1e-10
 # each point of a batch holds 2^(k-1) cumulative rows of the target
 # marginal while it is inverted (about 0.5 KB per row at 65 nodes)
 _CHUNK_ROWS = 2048
@@ -307,10 +306,10 @@ def _isotopy_inverse(phi: KRMap, t: float, X: np.ndarray) -> np.ndarray:
     """Solve (1-t) y + t phi(y) = x coordinate by coordinate (triangular).
 
     phi_t(y)_k = (1-t) y_k + t phi_k(y_{1:k}) is increasing in y_k, so each
-    coordinate is recovered by one batched bisection given the previous
-    ones; every step evaluates phi_k in closed form.  The conditional CDFs
-    of coordinate k depend only on the previous coordinates, so they are
-    built once per coordinate.
+    coordinate is recovered by one batched ``solve_increasing`` on [0, 1],
+    to ``ISOTOPY_TOL``, given the previous ones; every step evaluates phi_k
+    in closed form.  The conditional CDFs of coordinate k depend only on
+    the previous coordinates, so they are built once per coordinate.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.empty_like(X)
@@ -320,8 +319,8 @@ def _isotopy_inverse(phi: KRMap, t: float, X: np.ndarray) -> np.ndarray:
 
         def phi_t(y):
             return (1.0 - t) * y + t * F1.invert(F0.eval(y))
-        Y[:, k - 1] = bisect_increasing(phi_t, X[:, k - 1], 0.0, 1.0,
-                                        _BISECT_ITERS)
+        Y[:, k - 1] = solve_increasing(phi_t, X[:, k - 1], 0.0, 1.0,
+                                       ISOTOPY_TOL)
         Phi_prefix[:, k - 1] = F1.invert(F0.eval(Y[:, k - 1]))
     return Y
 

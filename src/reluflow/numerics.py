@@ -1,9 +1,10 @@
 """Numerical primitives shared by both routes.
 
-Monotone inversion by bisection, the RK4 reference integrator with its
-divergence, the single-neuron field, and tensor grids on [0, 1]^d with
-trapezoid quadrature.  Each is written once here so that every caller
-performs the same floating-point operations in the same order.
+Monotone inversion by bracketed false position, the RK4 reference
+integrator with its divergence, the single-neuron field, and tensor grids
+on [0, 1]^d with trapezoid quadrature.  Each is written once here so that
+every caller performs the same floating-point operations in the same
+order.
 """
 
 from __future__ import annotations
@@ -11,21 +12,61 @@ from __future__ import annotations
 import numpy as np
 
 
-def bisect_increasing(f, target, lo, hi, iters: int) -> np.ndarray:
+# False-position steps an entry may spend beyond bisection's count before
+# every remaining step must halve its bracket
+_SPARE_STEPS = 4
+
+
+def solve_increasing(f, target, lo, hi, tol) -> np.ndarray:
     """Solve f(x) = target per entry for f increasing on [lo, hi].
 
-    ``lo`` and ``hi`` are scalars or arrays shaped like ``target``; after
-    ``iters`` halvings the midpoint of the bracket is returned.  Targets
-    outside f's range converge to the nearer endpoint.
+    ``lo``, ``hi`` and ``tol`` (> 0) are scalars or arrays shaped like
+    ``target``; ``f`` maps an array of that shape to one, and is called at
+    points of [lo, hi] only.  Each entry keeps a bracket [a, b] with
+    f(a) < target <= f(b) until it is at most ``tol`` wide or its ends are
+    adjacent floats, and returns its midpoint: where f equals the target on
+    a plateau, the root is the plateau's left end.  A target at or below
+    f(lo) returns lo, one above f(hi) returns hi, exactly.
+
+    Steps are false position with Illinois weighting (Dowell and Jarratt
+    1971): an end that survives two steps in a row has its residual
+    halved.  A step closer than tol / 2 to an end is moved tol / 2 inside,
+    so that an end on the root gets crossed.  An entry bisects once the
+    halvings its bracket still needs would overrun its budget of
+    ceil(log2((hi - lo) / tol)) + ``_SPARE_STEPS`` steps; f is called at
+    most that often plus twice (at lo and hi), for the widest entry.
     """
-    a = np.full(np.shape(target), lo, dtype=float)
-    b = np.full(np.shape(target), hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        below = f(mid) < target
-        a = np.where(below, mid, a)
-        b = np.where(below, b, mid)
-    return 0.5 * (a + b)
+    target = np.asarray(target, dtype=float)
+    a = np.array(np.broadcast_to(lo, target.shape), dtype=float)
+    b = np.array(np.broadcast_to(hi, target.shape), dtype=float)
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), target.shape)
+    if not np.all(tol > 0):
+        raise ValueError("tol must be > 0")
+    ra, rb = f(a) - target, f(b) - target      # residuals, ra < 0 <= rb
+    left, right = ra >= 0, rb < 0
+    steps = np.ceil(np.log2(np.maximum((b - a) / tol, 1.0))) + _SPARE_STEPS
+    # a bracket wider than `reach` needs every step left to halve it
+    reach = tol * np.exp2(steps - 1)
+    moved = np.zeros(target.shape, dtype=np.int8)   # last moved end: -1 a, 1 b
+    for _ in range(int(np.max(steps, initial=0))):
+        width, mid = b - a, 0.5 * (a + b)
+        active = ~left & ~right & (width > tol) & (mid != a) & (mid != b)
+        if not active.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # 0 / 0 only on entries already done; a NaN step bisects
+            x = np.clip(a - ra * (width / (rb - ra)), a + 0.5 * tol,
+                        b - 0.5 * tol)
+        x = np.where((width > reach) | ~((x > a) & (x < b)), mid, x)
+        rx = f(x) - target
+        below = active & (rx < 0)
+        above = active & ~below
+        ra = np.where(below, rx, np.where(above & (moved == 1), 0.5 * ra, ra))
+        rb = np.where(above, rx, np.where(below & (moved == -1), 0.5 * rb, rb))
+        moved = np.where(below, -1, np.where(above, 1, moved)).astype(np.int8)
+        a, b = np.where(below, x, a), np.where(above, x, b)
+        reach = 0.5 * reach
+    return np.where(left, a, np.where(right, b, 0.5 * (a + b)))
 
 
 def neuron_field(X: np.ndarray, w, a, b):

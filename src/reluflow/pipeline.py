@@ -9,7 +9,9 @@ Pass k cuts the other d - 1 (selection) axes into ``cube_h``-wide lattice
 bands, over the range of pass j's values on an axis j < k and the domain's
 on j > k, and gives band l one increasing map of coordinate k: the
 piecewise-linear interpolant, with knots at ``mesh_h``, of G_k along the
-line through the band's centre.  It then
+line through the band's centre.  H_{k-1}^{-1} at those knots is solved one
+coordinate at a time by bracketed false position
+(``numerics.solve_increasing``).  It then
 
 1. staggers the bands: one divergence-free shear per interior band edge
    translates everything past that edge along axis k, one staircase per
@@ -31,6 +33,7 @@ measured in map space and for the pushforward against the exact target.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +43,7 @@ from reluflow.factorize import FactorizationError
 from reluflow.gadgets import staircase
 from reluflow.mesh import RectDomain
 from reluflow.metrics import _cell_centers, lp_map_error, pushforward_values
-from reluflow.numerics import bisect_increasing, grid_points
+from reluflow.numerics import grid_points, solve_increasing
 from reluflow.schedule import (ControlSchedule, PiecewiseLinear, flow_points,
                                invert_schedule)
 from reluflow.targets import TargetMap
@@ -60,11 +63,13 @@ _STAGGER_FACTOR = 1.25
 
 @dataclass
 class StageReport:
-    """Per-stage accounting: schedule size and realization diagnostics."""
+    """Per-stage accounting: schedule size, the wall time spent building
+    the stage and realization diagnostics."""
 
     name: str
     n_segments: int
     switch_count: int
+    wall_s: float
     detail: dict = field(default_factory=dict)
 
 
@@ -97,7 +102,8 @@ class RealizeResult:
             "total_duration": self.schedule.total_duration,
             "stages": [
                 {"name": s.name, "n_segments": s.n_segments,
-                 "switch_count": s.switch_count, **s.detail}
+                 "switch_count": s.switch_count, "wall_s": s.wall_s,
+                 **s.detail}
                 for s in self.stages
             ],
         }
@@ -206,10 +212,11 @@ def _pass_maps(target: TargetMap, k: int, box: list, h: float,
     j's values for j < k, the domain's range otherwise.  The bands are the
     ``cube_h`` lattice cells of the box on the other axes, in C order, and
     band l maps y_k -> phi_k(H_{k-1}^{-1}(y)) along the line through its
-    centre.  H_{k-1}^{-1} is solved one coordinate j < k at a time, by
-    bisection of phi_j in x_j with the other coordinates at their current
-    values: exact for d = 2 and for triangular targets, whose phi_j reads
-    x_0 ... x_j only, and one Gauss-Seidel sweep otherwise.
+    centre.  H_{k-1}^{-1} is solved one coordinate j < k at a time, for
+    x_j in phi_j = y_j with the other coordinates at their current values
+    (``solve_increasing``, to within an ulp of the domain's width): exact
+    for d = 2 and for triangular targets, whose phi_j reads x_0 ... x_j
+    only, and one Gauss-Seidel sweep otherwise.
 
     Returns (values, knots, selection) as ``band_tower`` takes them; raises
     if some band map is not strictly increasing.
@@ -228,7 +235,8 @@ def _pass_maps(target: TargetMap, k: int, box: list, h: float,
             Z = X.copy()
             Z[:, j] = t
             return target.fn(Z)[:, j]
-        X[:, j] = bisect_increasing(phi_j, Y[:, j], lo[j], hi[j], 60)
+        X[:, j] = solve_increasing(phi_j, Y[:, j], lo[j], hi[j],
+                                   np.finfo(float).eps * (hi[j] - lo[j]))
     values = target.fn(X)[:, k].reshape(-1, len(knots))
     if not np.all(np.diff(values, axis=1) > 0):
         raise FactorizationError(f"a pass-{k + 1} band map is not strictly "
@@ -250,6 +258,8 @@ def realize_target(target: TargetMap, epsilon: float = 0.1,
     are outside this route.
 
     Stages: ``pass-1`` ... ``pass-d``, one per pass, each itemizing its
+    wall time (``time.perf_counter`` seconds spent solving the band maps
+    and building the tower; the error measurement is outside every stage),
     axis, bands, stagger, knots per band and stack, profile and unstack
     segments.
     """
@@ -262,21 +272,25 @@ def realize_target(target: TargetMap, epsilon: float = 0.1,
         raise ValueError(f"resolution must be >= 1; got {resolution}")
 
     if target.profile is not None:
+        start = time.perf_counter()
         schedule = profile_schedule(target.profile, d=d, axis=0)
+        stage = StageReport("profile", len(schedule), schedule.switch_count,
+                            time.perf_counter() - start)
         lp, tv = map_errors(target, schedule, p, resolution)
-        stage = StageReport("profile", len(schedule), schedule.switch_count)
         return RealizeResult(schedule, lp, tv, p, epsilon, mesh_h, cube_h,
                              [stage])
 
     box = list(zip(target.domain.lower, target.domain.upper))
     passes, stages = [], []
     for k in range(d):
+        start = time.perf_counter()
         values, knots, selection = _pass_maps(target, k, box, mesh_h, cube_h)
         box[k] = (values.min(), values.max())
         tower = band_tower(values, knots, selection, k, d)
         passes.append(tower.schedule)
         stages.append(StageReport(
             f"pass-{k + 1}", len(passes[-1]), passes[-1].switch_count,
+            time.perf_counter() - start,
             {"axis": k, "bands": tower.n_bands, "stagger": tower.stagger,
              "knots_per_band": len(knots),
              "stack_segments": len(tower.stack),

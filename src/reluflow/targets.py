@@ -13,7 +13,7 @@ import numpy as np
 from reluflow.compressible import profile_logdet, slope_profile
 from reluflow.kr import GridDensity, kr_map
 from reluflow.mesh import RectDomain
-from reluflow.numerics import bisect_increasing
+from reluflow.numerics import solve_increasing
 from reluflow.schedule import PiecewiseLinear, json_key
 
 UNIT_SQUARE = RectDomain([0.0, 0.0], [1.0, 1.0])
@@ -70,12 +70,14 @@ def _zero_logdet(X, Y=None):
 
 
 def _radial_compress_inv(Y):
-    # solve r_out = r_in s(r_in^2) per point by monotone bisection
+    # solve r_out = r_in s(r_in^2) per point, r_in s(r_in^2) being
+    # increasing in r_in, to within an ulp of the bracket's upper end
     Y = np.atleast_2d(Y)
     v = Y - _RC_CENTER
     r_out = np.linalg.norm(v, axis=1)
-    r_in = bisect_increasing(lambda r: r * _rc_scale(r * r), r_out, 0.0,
-                             r_out / (1.0 - _RC_BETA) + 1e-9, 60)
+    r_max = r_out / (1.0 - _RC_BETA) + 1e-9
+    r_in = solve_increasing(lambda r: r * _rc_scale(r * r), r_out, 0.0,
+                            r_max, np.finfo(float).eps * r_max)
     scale = np.where(r_out > 0, r_in / np.maximum(r_out, 1e-300), 1.0)
     return _RC_CENTER + v * scale[:, None]
 

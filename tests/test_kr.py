@@ -11,8 +11,8 @@ from reluflow.kr import (
     kr_map,
     marginal,
 )
-from reluflow.numerics import bisect_increasing
 from reluflow.targets import get_target
+from tests.conftest import bisection
 
 
 def density_2x(n=512):
@@ -153,7 +153,9 @@ class TestClosedFormInverse:
         dens[2, :2] = 1e-9                 # a flat piece on the floor
         return dens
 
-    def test_matches_bisection(self, rng):
+    @pytest.mark.parametrize("seed", [20260823, 3, 17, 101, 2026])
+    def test_matches_bisection(self, seed):
+        rng = np.random.default_rng(seed)
         dens = self.slices(rng)
         n_rows, n = dens.shape
         table, _ = cdfs_of_slices(dens, 1)
@@ -166,7 +168,7 @@ class TestClosedFormInverse:
         _, F = cdfs_of_slices(dens, u.shape[1])
         u = u.ravel()
         t = F.invert(u)
-        reference = bisect_increasing(F.eval, u, 0.0, 1.0, 40)
+        reference = bisection(F.eval, u, 0.0, 1.0)
         assert np.max(np.abs(t - reference)) <= 1e-10
         assert np.max(np.abs(F.eval(t) - u)) <= 1e-12
 

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,16 @@ class TestGenericPipeline:
                            resolution=32)
         text = json.dumps(r.to_report(), sort_keys=True)
         assert "pass-1" in text
+
+    @pytest.mark.parametrize("name", ["sine-radial", "profile1d"])
+    def test_stage_wall_times_fit_in_the_call(self, name):
+        start = time.perf_counter()
+        r = realize_target(get_target(name), mesh_h=0.25, resolution=32)
+        elapsed = time.perf_counter() - start
+        walls = [s["wall_s"] for s in r.to_report()["stages"]]
+        assert len(walls) == len(r.stages)
+        assert all(np.isfinite(w) and w >= 0 for w in walls)
+        assert sum(walls) <= elapsed
 
     def test_orientation_reversing_target_rejected(self):
         flip = TargetMap("flip", lambda X: np.atleast_2d(X)[:, ::-1],
