@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from reluflow import numerics
-from reluflow.kr import GridDensity, _SliceTable
 from reluflow.numerics import neuron_field, rk4, solve_increasing
 from reluflow.pipeline import _pass_maps
 from reluflow.targets import TargetMap, get_target
+from tests import test_kr
 from tests.conftest import bisection
 
 EPS = np.finfo(float).eps
@@ -42,20 +42,6 @@ def smooth(x):
     return x + 0.3 * np.sin(3.0 * x)          # f' >= 0.1
 
 
-def kr_cdfs(rng, per_slice):
-    """The density slices of the closed-form KR tests, the 1e-9 floor among
-    them: each slice's knot CDF values, and the piecewise-quadratic
-    conditional CDFs of ``per_slice`` points per slice."""
-    n = 11
-    dens = rng.uniform(0.2, 3.0, size=(6, n))
-    dens[0, 3:6] = dens[0, 3]                                # flat pieces
-    dens[1] = np.maximum(2 * np.linspace(0, 1, n), 1e-9)     # the 2x floor
-    dens[2, :2] = 1e-9                                       # on the floor
-    table = _SliceTable(GridDensity(dens))
-    F = table.at(np.repeat(table.lead[0], per_slice)[:, None])
-    return table.cum / table.cum[:, -1:], F
-
-
 class TestSolveIncreasing:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_smooth_function_matches_bisection(self, seed):
@@ -69,9 +55,12 @@ class TestSolveIncreasing:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_kr_conditional_cdfs_match_bisection(self, seed):
         rng = np.random.default_rng(seed)
-        knots, F = kr_cdfs(rng, 60)
-        # per slice: every knot's CDF value, points just off the first
-        # knots, and uniform targets
+        # the density slices of the closed-form inverse's tests, the 1e-9
+        # floor among them; per slice: every knot's CDF value, points just
+        # off the first knots, and uniform targets
+        table, F = test_kr.cdfs_of_slices(
+            test_kr.TestClosedFormInverse().slices(rng), 60)
+        knots = table.cum / table.cum[:, -1:]
         u = np.concatenate([knots, knots[:, 1:3] * (1 + 1e-9),
                             rng.uniform(size=(len(knots), 47))],
                            axis=1).ravel()
