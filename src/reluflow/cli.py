@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from reluflow.kr import kr_map
+from reluflow.kr import KRMap
 from reluflow.maurey import (
     TimeMixture,
     builtin_mixture,
@@ -155,7 +155,7 @@ def cmd_kr(config: dict, out, seed: int) -> int:
     cfg = _config_echo(defaults, config, seed)
     rho0 = density_from_spec(cfg["rho0"], cfg["shape"])
     rho1 = density_from_spec(cfg["rho1"], cfg["shape"])
-    phi = kr_map(rho0, rho1)
+    phi = KRMap(rho0, rho1)
     d = rho0.d
     if cfg["points"] is not None:
         X = np.atleast_2d(np.asarray(cfg["points"], dtype=float))

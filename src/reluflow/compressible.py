@@ -14,7 +14,7 @@ exactly on [y_0, y_{n+1}] by a schedule acting on one coordinate:
   to c_i = zeta(y_i) (the translation fixes y_0 + tau = zeta(y_0), and each
   earlier stage j stretches the piece after c_j to slope alpha_j), so every
   c_i is a stored value.  A piece with alpha_i = alpha_{i-1}
-  (alpha_{-1} = 1) gets no stage: its field would be zero.
+  (alpha_{-1} = 1) up to rounding gets no stage: its field would be zero.
 
 The tracked log-determinant is exactly log alpha_i on the i-th piece: the
 translation gadget contributes zero and stage increments telescope.
@@ -60,13 +60,14 @@ def profile_schedule(p: PiecewiseLinear, d: int = 1,
 
     All neurons act on the chosen coordinate only, so the lift to R^d fixes
     the other coordinates.  Segment count: one stage per piece whose slope
-    differs from the previous piece's (the first piece's from 1), so at
-    most n+1, plus 2 for the translation gadget when zeta(y_0) != y_0.
+    differs from the previous piece's (the first piece's from 1) by more
+    than rounding, so at most n+1, plus 2 for the translation gadget when
+    zeta(y_0) != y_0.  Raises ValueError unless p is finite and increasing.
     """
+    if not p.well_formed(increasing=True):
+        raise ValueError("profile must be finite and increasing")
     y, slopes = p.knots, p.slopes[1:-1]
     tau = float(p.values[0]) - y[0]
-    if tau == 0.0 and np.all(slopes == 1.0):
-        return ControlSchedule()
     sched = ControlSchedule()
     if tau > 0:
         sched = translation_gadget(y[0] - 2.0, 1.0, tau, 1.0, d=d, axis=axis)
@@ -77,9 +78,13 @@ def profile_schedule(p: PiecewiseLinear, d: int = 1,
 
     # slope-change stages in the translated frame: breakpoints shift by tau,
     # the left endpoint becomes a fixed point, and the stages before stage i
-    # carry the translated y_i to zeta(y_i); a ratio of 1 needs no stage
+    # carry the translated y_i to zeta(y_i); a ratio of 1 up to rounding needs
+    # no stage, and chords through knots and values of size <= M, spaced >= D
+    # apart, are off by a few eps M / D
     ratios = slopes / np.concatenate([[1.0], slopes[:-1]])
     durations = np.diff(y + tau)
-    keep = ratios != 1.0
+    M = max(np.abs(y).max(), np.abs(p.values).max())
+    D = min(np.diff(y).min(), np.diff(p.values).min())
+    keep = np.abs(ratios - 1.0) > 8 * np.finfo(float).eps * M / D
     return sched + slope_change_stages(p.values[:-1][keep], ratios[keep],
                                        durations[keep], d=d, axis=axis)

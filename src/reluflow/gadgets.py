@@ -2,18 +2,18 @@
 
 Five constructors, each with an exact closed-form flow:
 
-* ``dilation_1d``      -- one segment; dilates a half-line about its endpoint.
 * ``translation_gadget`` -- two segments (dilate, contract about a shifted
   center); the composite equals x + tau on {x >= c + h} and the identity on
   {x <= c}, interpolating monotonically on the ramp (c, c + h).
-* ``shear_for_region`` -- two divergence-free segments; translates the
-  points past ``hi`` along x_sel by tau e_move, is the identity on the
-  points before ``lo`` and ramps linearly on the strip between them.
+* ``shear_for_region`` -- two divergence-free segments per entry of tau, lo
+  and hi; entry i translates the points past hi_i along x_sel by tau_i
+  e_move, is the identity before lo_i and ramps linearly in between.
   Volume-preserving: logdet increment is exactly zero.
-* ``staircase`` -- one ``shear_for_region`` per nonzero jump; adds a
-  piecewise-linear staircase sum_e jump_e ramp(x_read - c_e) to x_write,
-  each ramp rising from 0 to 1 over [c_e - half, c_e + half].  It reads a
-  coordinate it never writes, so it is exact wherever the ramps are empty.
+* ``staircase`` -- one ``shear_for_region`` call adding sum_e jump_e
+  ramp(x_read - c_e) to x_write, each ramp rising from 0 to 1 over
+  [c_e - half, c_e + half]; exact wherever the ramps are empty.
+* ``lift`` -- one staircase per lattice, adding unit times the C-order
+  index of a point's lattice cell to x_write.
 * ``slope_change_stages`` -- one segment per stage, stage i realizing
   x -> c_i + ratio_i * (x - c_i) on {x >= c_i} over its own duration, the
   basic steps for monotone piecewise-affine profiles.
@@ -31,26 +31,15 @@ from reluflow.schedule import ControlSchedule
 
 def _aligned(d: int, w_axis: int, w, a_axis: int, a, b,
              duration) -> ControlSchedule:
-    """Segments i with w = w[i] e_{w_axis} and a = a[i] e_{a_axis}."""
+    """Segments i with w = w[i] e_{w_axis} and a = a[i] e_{a_axis}, raveled."""
     for axis in (w_axis, a_axis):
         if not 0 <= axis < d:
             raise ValueError(f"axis {axis} out of range for dimension {d}")
     e = np.eye(d)
+    a, w, b, duration = (np.ravel(v) for v in (a, w, b, duration))
     return ControlSchedule.from_arrays(np.multiply.outer(a, e[a_axis]),
                                        np.multiply.outer(w, e[w_axis]), b,
                                        duration)
-
-
-def dilation_1d(w: float, b: float, sign: int, duration: float,
-                d: int = 1, axis: int = 0) -> ControlSchedule:
-    """One-segment dilation about b with factor e^{w*duration}.
-
-    sign=+1 fixes {x <= b} and dilates {x >= b}; sign=-1 is the mirror image.
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return _aligned(d, axis, [sign * w], axis, [sign], [-sign * b],
-                    [duration])
 
 
 def translation_gadget(c: float, h: float, tau: float, T: float,
@@ -73,31 +62,33 @@ def translation_gadget(c: float, h: float, tau: float, T: float,
                     [-c, -(c + eta)], [T / 2.0, T / 2.0])
 
 
-def shear_for_region(move_axis: int, tau: float, sel_axis: int, lo: float,
-                     hi: float, d: int) -> ControlSchedule:
-    """Two divergence-free segments translating a half-space sideways.
+def shear_for_region(move_axis: int, tau, sel_axis: int, lo, hi,
+                     d: int) -> ControlSchedule:
+    """Divergence-free segment pairs translating half-spaces sideways.
 
-    The flow adds tau to x_{move_axis} where x_{sel_axis} is at or past
-    ``hi`` (x_sel >= hi when lo < hi, x_sel <= hi when lo > hi), is the
-    identity where x_sel is at or before ``lo``, and ramps linearly in
-    between.  With sign = sgn(hi - lo), h = |hi - lo| and u = sgn(tau)
-    e_move, the segments (w, a, b) are (-u, sign e_sel, -sign lo - h) and
-    (u, sign e_sel, -sign lo), each for |tau|/h.  Both satisfy a.w = 0, so
-    the tracked logdet increment is exactly zero and the flow is volume
-    preserving.
+    ``tau``, ``lo`` and ``hi`` broadcast together; pair i adds tau_i to
+    x_{move_axis} where x_{sel_axis} is at or past hi_i (x_sel >= hi when
+    lo < hi, x_sel <= hi when lo > hi), is the identity where x_sel is at
+    or before lo_i, and ramps linearly in between.  With sign =
+    sgn(hi - lo), h = |hi - lo| and u = sgn(tau) e_move, its segments
+    (w, a, b) are (-u, sign e_sel, -sign lo - h) and (u, sign e_sel,
+    -sign lo), each for |tau|/h.  Both satisfy a.w = 0, so the tracked
+    logdet increment is exactly zero and the flow is volume preserving.
     """
     if move_axis == sel_axis:
         raise ValueError("move_axis and sel_axis must be distinct (shear "
                          "needs u ⟂ n)")
-    width = abs(hi - lo)
-    if width <= 0:
+    tau, lo, hi = np.broadcast_arrays(tau, lo, hi)
+    width = np.abs(hi - lo)
+    if np.any(width <= 0):
         raise ValueError("ramp must have positive width")
-    sign = 1.0 if lo < hi else -1.0
+    sign = np.where(lo < hi, 1.0, -1.0)
     b = -sign * lo
     u = np.sign(tau)
-    t = abs(tau) / width
-    return _aligned(d, move_axis, [-u, u], sel_axis, [sign, sign],
-                    [b - width, b], [t, t])
+    t = np.abs(tau) / width
+    pair = lambda first, second: np.stack([first, second], axis=-1)
+    return _aligned(d, move_axis, pair(-u, u), sel_axis, pair(sign, sign),
+                    pair(b - width, b), pair(t, t))
 
 
 def staircase(write_axis: int, read_axis: int, centres, jumps, half: float,
@@ -105,12 +96,26 @@ def staircase(write_axis: int, read_axis: int, centres, jumps, half: float,
     """Shears adding sum_e jumps[e] * ramp(x_read - centres[e]) to x_write.
 
     ramp is 0 below -half, 1 above +half and linear in between; each
-    nonzero jump costs one shear_for_region, in the order given.
+    nonzero jump costs one shear pair, in the order given.
     """
     centres, jumps = np.broadcast_arrays(centres, jumps)
+    move = jumps != 0
+    return shear_for_region(write_axis, jumps[move], read_axis,
+                            centres[move] - half, centres[move] + half, d)
+
+
+def lift(write_axis: int, lattices, unit: float, d: int) -> ControlSchedule:
+    """Staircases adding unit * (C-order index of a point's cell) to x_write.
+
+    ``lattices`` lists (read_axis, interior_edges, half) per lattice, whose
+    cells are the bands between its edges (the outer two unbounded); the
+    last lattice is the fastest digit.
+    """
+    counts = [len(edges) + 1 for _, edges, _ in lattices]
+    strides = np.cumprod([1] + counts[:0:-1])[::-1]
     return ControlSchedule.concat(
-        shear_for_region(write_axis, tau, read_axis, c - half, c + half, d)
-        for c, tau in zip(centres, jumps) if tau != 0)
+        staircase(write_axis, axis, edges, unit * stride, half, d)
+        for (axis, edges, half), stride in zip(lattices, strides))
 
 
 def slope_change_stages(c, ratio, h, d: int = 1,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reluflow.gadgets import staircase
+from reluflow.gadgets import lift, staircase
 from reluflow.numerics import grid_points
 from reluflow.schedule import ControlSchedule, flow_points
 
@@ -225,13 +225,11 @@ def permutation_schedule(sigma: Permutation,
     centres = -L + h * np.arange(grid.n_cubes) - grid.delta / 2.0
 
     def by_digits(write_axis, sign):
-        """Staircases adding sign * _mixed_radix(k, write_axis) n h to
-        x_write on cube k, one per other axis, each reading that axis."""
-        others = np.delete(np.arange(d), write_axis)
-        return ControlSchedule.concat(
-            staircase(write_axis, m, centres[1:n], sign * n ** (p + 1) * h,
-                      half, d)
-            for p, m in enumerate(others))
+        """lift adding sign * _mixed_radix(k, write_axis) n h to x_write on
+        cube k, whose fastest digit, the first other axis, is lift's last."""
+        others = np.delete(np.arange(d), write_axis)[::-1]
+        return lift(write_axis, [(m, centres[1:n], half) for m in others],
+                    sign * n * h, d)
 
     def by_level(write_axis, read_axis, level, value):
         """Staircase adding value[i] to x_write on x_read's level level[i]."""
@@ -240,7 +238,7 @@ def permutation_schedule(sigma: Permutation,
         return staircase(write_axis, read_axis, centres,
                          np.diff(steps, prepend=0.0), half, d)
 
-    lift = by_digits(1, +1)
+    lifted = by_digits(1, +1)
     level = _mixed_radix(src, 1, n) * n + src[:, 1]
     slot = _mixed_radix(tgt, 0, n)
     offset = tgt - src
@@ -249,7 +247,7 @@ def permutation_schedule(sigma: Permutation,
                                   for m in range(d) if m != 1)
     drop = by_level(1, 0, slot * n + tgt[:, 0], (tgt[:, 1] - level) * h)
     unstagger = by_digits(0, -1)
-    return lift + move + drop + unstagger
+    return lifted + move + drop + unstagger
 
 
 def swap_schedule(i, j, grid: CubeGrid) -> ControlSchedule:

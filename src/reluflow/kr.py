@@ -294,14 +294,6 @@ class KRMap:
                     k, x[:, k - 1], x[:, :k - 1], out[:, :k - 1])
         return phi
 
-    def eval_point(self, x) -> np.ndarray:
-        return self(np.asarray(x, dtype=float)[None, :])[0]
-
-
-def kr_map(rho0: GridDensity, rho1: GridDensity) -> KRMap:
-    return KRMap(rho0, rho1)
-
-
 def _isotopy_inverse(phi: KRMap, t: float, X: np.ndarray) -> np.ndarray:
     """Solve (1-t) y + t phi(y) = x coordinate by coordinate (triangular).
 

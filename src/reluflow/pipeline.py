@@ -40,7 +40,7 @@ import numpy as np
 
 from reluflow.compressible import profile_schedule
 from reluflow.factorize import FactorizationError
-from reluflow.gadgets import staircase
+from reluflow.gadgets import lift
 from reluflow.mesh import RectDomain
 from reluflow.metrics import _cell_centers, lp_map_error, pushforward_values
 from reluflow.numerics import grid_points, solve_increasing
@@ -178,8 +178,8 @@ def band_tower(values: np.ndarray, knots: np.ndarray, selection: list,
     axis; band l is the l-th lattice cell in C order, the outermost bands of
     each axis extending to infinity, with ramps of width ``_RAMP_FRACTION``
     times the band width centred on the interior edges.  Stacking moves band
-    l by l S: one staircase per selection axis, whose jump is S times the
-    number of bands of the later selection axes.
+    l by l S: ``gadgets.lift`` with unit S, one staircase per selection
+    axis.
     """
     values = np.asarray(values, dtype=float)
     K = values.shape[0]
@@ -194,13 +194,9 @@ def band_tower(values: np.ndarray, knots: np.ndarray, selection: list,
     if not len(profile):    # every band map is the identity
         return BandTower(ControlSchedule(), ControlSchedule(),
                          ControlSchedule(), K, 0.0)
-    stairs, stride = [], 1
-    for axis, edges in reversed(selection):
-        half = 0.5 * _RAMP_FRACTION * (edges[1] - edges[0])
-        stairs.append(staircase(move_axis, axis, edges[1:-1], S * stride,
-                                half, d))
-        stride *= len(edges) - 1
-    stack = ControlSchedule.concat(reversed(stairs))
+    stack = lift(move_axis, [(axis, edges[1:-1],
+                              0.5 * _RAMP_FRACTION * (edges[1] - edges[0]))
+                             for axis, edges in selection], S, d)
     return BandTower(stack, profile, invert_schedule(stack), K, S)
 
 

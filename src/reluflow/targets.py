@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from reluflow.compressible import profile_logdet, slope_profile
-from reluflow.kr import GridDensity, kr_map
+from reluflow.kr import GridDensity, KRMap
 from reluflow.mesh import RectDomain
 from reluflow.numerics import solve_increasing
 from reluflow.schedule import PiecewiseLinear, json_key
@@ -160,8 +160,8 @@ def get_target(name: str, params: dict = None) -> TargetMap:
     if name == "kr":
         rho0 = density_from_spec(params.get("rho0", "uniform"))
         rho1 = density_from_spec(params.get("rho1", "tilted"))
-        fwd = kr_map(rho0, rho1)
-        back = kr_map(rho1, rho0)
+        fwd = KRMap(rho0, rho1)
+        back = KRMap(rho1, rho0)
         # exact for the discrete KR map: its conditional-CDF ratios telescope
         # to rho0(x) / rho1(phi(x)) of the multilinear density interpolants
         cube = RectDomain([0.0] * fwd.d, [1.0] * fwd.d)

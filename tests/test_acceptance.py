@@ -18,7 +18,7 @@ from reluflow.compressible import (
 from reluflow.factorize import polar_factorize
 from reluflow.gadgets import shear_for_region
 from reluflow.incompressible import CubeGrid, swap_schedule
-from reluflow.kr import GridDensity, kr_map
+from reluflow.kr import GridDensity, KRMap
 from reluflow.maurey import (
     builtin_mixture,
     eval_mixture,
@@ -238,13 +238,13 @@ def test_criterion_9_triangular_transport():
     # uniform -> uniform is the identity within 1e-6
     dens_2x = GridDensity.from_function(
         lambda X: np.maximum(2 * X[:, 0], 1e-9), (512,))
-    phi = kr_map(GridDensity.uniform((512,)), dens_2x)
+    phi = KRMap(GridDensity.uniform((512,)), dens_2x)
     x = np.linspace(0.02, 0.98, 49)[:, None]
     assert np.abs(phi(x)[:, 0] - np.sqrt(x[:, 0])).max() <= 1e-5
 
     rho1 = GridDensity.from_function(
         lambda X: (1 + X[:, 0]) * (0.5 + X[:, 1]), (64, 64))
-    phi2 = kr_map(GridDensity.uniform((64, 64)), rho1)
+    phi2 = KRMap(GridDensity.uniform((64, 64)), rho1)
     rng = np.random.default_rng(909)
     n_strata = 316      # 316^2 = 99856 stratified samples, ~1e5 points
     base = np.arange(n_strata) / n_strata
@@ -262,7 +262,7 @@ def test_criterion_9_triangular_transport():
     assert np.mean(np.abs(emp - tgt)) <= 0.05
 
     rho = GridDensity.from_function(lambda X: 1 + 0.3 * X[:, 0], (128, 128))
-    phi3 = kr_map(rho, rho)
+    phi3 = KRMap(rho, rho)
     X = rng.uniform(0.05, 0.95, size=(50, 2))
     assert np.abs(phi3(X) - X).max() <= 1e-6
 

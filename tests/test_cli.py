@@ -184,9 +184,9 @@ class TestSimulateCommand:
         assert (t, x0, x1, ld) == (0.0, 0.3, 0.4, 0.0)
 
     def test_streams_segment_substeps(self, tmp_path):
-        from reluflow.gadgets import dilation_1d
+        from reluflow.gadgets import slope_change_stages
         sched_path = tmp_path / "dil.json"
-        dilation_1d(np.log(2.0), 0.0, 1, 1.0).save(str(sched_path))
+        slope_change_stages(0.0, 2.0, 1.0).save(str(sched_path))
         config = {"schedule": str(sched_path), "points": [[1.0]],
                   "substeps": 4}
         _, text = run(tmp_path, "simulate", config)

@@ -10,11 +10,12 @@ from reluflow.gadgets import slope_change_stages, translation_gadget
 from reluflow.pipeline import realize_target
 from reluflow.schedule import (
     ControlSchedule,
+    PiecewiseLinear,
     flow_points,
     flow_segments,
     invert_schedule,
 )
-from reluflow.targets import get_target
+from reluflow.targets import CATALOG, get_target
 
 
 def random_profile(rng, n_max=20, interval=(0.0, 1.0)):
@@ -153,6 +154,23 @@ class TestUnitRatioStages:
         sched = realize_target(get_target("sine-radial"), mesh_h=1 / 16,
                                resolution=8).schedule
         assert sched.w.any(axis=1).all()
+
+    @pytest.mark.parametrize("h", [1 / 8, 1 / 16, 1 / 32])
+    @pytest.mark.parametrize("name", CATALOG)
+    def test_no_stage_of_rounding_size(self, name, h):
+        # chords through rounded band values make ratios of 1 read 1 +- a
+        # few eps; such a stage would run a full duration at |w| ~ 1e-16
+        sched = realize_target(get_target(name), mesh_h=h, cube_h=h,
+                               resolution=8).schedule
+        size = (np.linalg.norm(sched.w, axis=1)
+                * np.linalg.norm(sched.a, axis=1) * sched.duration)
+        assert np.all(size >= 1e-9)
+
+    def test_non_increasing_profile_rejected(self):
+        p = PiecewiseLinear.through(np.array([0.0, 0.5, 1.0]),
+                                    np.array([0.0, 0.5, 0.5]))
+        with pytest.raises(ValueError, match="increasing"):
+            profile_schedule(p)
 
     @pytest.mark.parametrize("beta0", [0.0, 0.3, -0.3])
     def test_flow_bit_identical_to_all_stage_schedule(self, rng, beta0):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reluflow.gadgets import (
-    dilation_1d,
+    lift,
     shear_for_region,
     slope_change_stages,
     staircase,
@@ -15,28 +15,6 @@ def flow1(x, sched):
     """The position of the single point x after the schedule."""
     X, _ = flow_points(np.atleast_1d(np.asarray(x, dtype=float))[None], sched)
     return X[0]
-
-
-class TestDilation1d:
-    def test_doubling(self):
-        sched = dilation_1d(1.0, 0.0, +1, np.log(2))
-        assert flow1(1.0, sched)[0] == pytest.approx(2.0, abs=1e-14)
-        assert flow1(-1.0, sched)[0] == -1.0
-
-    def test_zero_duration_identity(self):
-        sched = dilation_1d(2.0, 0.5, +1, 0.0)
-        assert flow1(3.0, sched)[0] == 3.0
-
-    def test_contraction_about_center(self):
-        # exp(-ln 2)(3-1)+1 = 2
-        sched = dilation_1d(-np.log(2), 1.0, +1, 1.0)
-        assert flow1(3.0, sched)[0] == pytest.approx(2.0, abs=1e-14)
-
-    def test_mirror_sign(self):
-        # sign=-1 dilates the half-line below b and fixes points above
-        sched = dilation_1d(np.log(2), 1.0, -1, 1.0)
-        assert flow1(0.0, sched)[0] == pytest.approx(-1.0, abs=1e-14)
-        assert flow1(2.0, sched)[0] == 2.0
 
 
 class TestTranslationGadget:
@@ -134,6 +112,19 @@ class TestShearTranslation:
                 J[:, j] = (fp[0] - fm[0]) / (2 * eps)
             assert np.linalg.det(J) == pytest.approx(1.0, abs=1e-6)
 
+    def test_arrays_match_scalar_calls(self):
+        # entry 1 is mirrored (lo > hi) and entry 2 moves backwards; lo is
+        # broadcast against the arrays
+        tau, hi = np.array([1.5, 0.4, -0.7]), np.array([0.25, -0.5, 1.0])
+        sched = shear_for_region(2, tau, 0, 0.0, hi, d=3)
+        expected = ControlSchedule.concat(
+            shear_for_region(2, t, 0, 0.0, h, d=3) for t, h in zip(tau, hi))
+        assert sched.to_dict() == expected.to_dict()
+
+    def test_zero_width_entry_rejected(self):
+        with pytest.raises(ValueError, match="positive width"):
+            shear_for_region(1, [1.0, 2.0], 0, [0.0, 0.5], [1.0, 0.5], d=2)
+
     def test_shear_for_region_above_and_below(self):
         d = 2
         up = shear_for_region(move_axis=1, tau=0.5, sel_axis=0, lo=1.0, hi=1.25, d=d)
@@ -169,6 +160,34 @@ class TestStaircase:
         expected = ControlSchedule.concat(
             shear_for_region(0, 1.5, 1, e - 0.01, e + 0.01, 2) for e in edges)
         assert sched.to_dict() == expected.to_dict()
+
+
+    def test_all_zero_jumps_give_an_empty_schedule(self):
+        assert len(staircase(0, 1, [0.0, 1.0], 0.0, 0.1, d=2)) == 0
+        assert len(staircase(0, 1, [0.0, 1.0], [0.0, -0.0], 0.1, d=2)) == 0
+
+
+class TestLift:
+    def test_cells_move_by_their_c_order_index(self):
+        # three lattices of 2, 3 and 4 bands, read from axes 2, 0 and 3;
+        # x_1 gets 0.7 times the cell's index, the last lattice fastest
+        lattices = [(2, np.array([0.0]), 0.05),
+                    (0, np.array([-1.0, 1.0]), 0.1),
+                    (3, np.array([0.0, 0.5, 1.0]), 0.02)]
+        cores = [np.array([-0.5, 0.5]), np.array([-2.0, 0.0, 2.0]),
+                 np.array([-0.5, 0.25, 0.75, 1.5])]
+        sched = lift(1, lattices, 0.7, d=4)
+        cell = np.stack(np.meshgrid(*[np.arange(len(c)) for c in cores],
+                                    indexing="ij"), axis=-1).reshape(-1, 3)
+        X = np.zeros((len(cell), 4))
+        for p, (axis, _, _) in enumerate(lattices):
+            X[:, axis] = cores[p][cell[:, p]]
+        X[:, 1] = np.linspace(-1.0, 1.0, len(cell))
+        out, ld = flow_points(X, sched)
+        expected = X.copy()
+        expected[:, 1] += 0.7 * np.ravel_multi_index(cell.T, (2, 3, 4))
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+        assert np.all(ld == 0.0)
 
 
 class TestSlopeChangeStage:

@@ -5,10 +5,10 @@ from scipy.interpolate import RegularGridInterpolator
 from reluflow.kr import (
     _CHUNK_ROWS,
     GridDensity,
+    KRMap,
     _SliceTable,
     conditional_cdf,
     displacement_field,
-    kr_map,
     marginal,
 )
 from reluflow.targets import get_target
@@ -228,12 +228,12 @@ class TestSliceTable:
 class TestKrMap:
     def test_identity(self, rng):
         rho = GridDensity.from_function(lambda X: 1 + 0.3 * X[:, 0], (128, 128))
-        phi = kr_map(rho, rho)
+        phi = KRMap(rho, rho)
         X = rng.uniform(0.05, 0.95, size=(30, 2))
         np.testing.assert_allclose(phi(X), X, atol=1e-6)
 
     def test_uniform_to_2x_is_sqrt(self):
-        phi = kr_map(GridDensity.uniform((512,)), density_2x())
+        phi = KRMap(GridDensity.uniform((512,)), density_2x())
         assert phi(np.array([[0.25]]))[0, 0] == pytest.approx(0.5, abs=1e-5)
         x = np.linspace(0.05, 0.95, 19)[:, None]
         np.testing.assert_allclose(phi(x)[:, 0], np.sqrt(x[:, 0]), atol=1e-5)
@@ -241,23 +241,23 @@ class TestKrMap:
     def test_triangularity(self, rng):
         rho1 = GridDensity.from_function(
             lambda X: 1 + 0.5 * X[:, 0] * X[:, 1], (64, 64))
-        phi = kr_map(GridDensity.uniform((64, 64)), rho1)
-        x = np.array([0.4, 0.6])
-        base = phi.eval_point(x)
-        moved = phi.eval_point([0.4, 0.9])
+        phi = KRMap(GridDensity.uniform((64, 64)), rho1)
+        base = phi(np.array([0.4, 0.6])[None])[0]
+        moved = phi(np.array([0.4, 0.9])[None])[0]
         assert moved[0] == pytest.approx(base[0], abs=1e-12)
 
     def test_monotone_in_xk(self):
         rho1 = GridDensity.from_function(
             lambda X: 1 + 0.5 * X[:, 0] * X[:, 1], (64, 64))
-        phi = kr_map(GridDensity.uniform((64, 64)), rho1)
-        ys = [phi.eval_point([0.3, y])[1] for y in np.linspace(0.05, 0.95, 12)]
+        phi = KRMap(GridDensity.uniform((64, 64)), rho1)
+        ys = [phi(np.array([0.3, y])[None])[0][1]
+              for y in np.linspace(0.05, 0.95, 12)]
         assert np.all(np.diff(ys) > 0)
 
     def test_pushforward_histogram(self, rng):
         rho1 = GridDensity.from_function(
             lambda X: (1 + X[:, 0]) * (0.5 + X[:, 1]), (64, 64))
-        phi = kr_map(GridDensity.uniform((64, 64)), rho1)
+        phi = KRMap(GridDensity.uniform((64, 64)), rho1)
         # stratified uniform cloud: still rho0 samples, far less histogram
         # noise than i.i.d. draws at 1e5 points
         n_strata = 316
@@ -280,7 +280,7 @@ class TestKrMap:
         rho0 = GridDensity.uniform((64, 64))
         rho1 = GridDensity.from_function(
             lambda X: 1 + 0.4 * X[:, 0] + 0.2 * X[:, 1], (64, 64))
-        fwd, back = kr_map(rho0, rho1), kr_map(rho1, rho0)
+        fwd, back = KRMap(rho0, rho1), KRMap(rho1, rho0)
         X = rng.uniform(0.1, 0.9, size=(15, 2))
         np.testing.assert_allclose(back(fwd(X)), X, atol=1e-4)
 
@@ -290,7 +290,7 @@ class TestKrMap:
         rho1 = GridDensity.from_function(
             lambda X: 1 + 0.8 * np.exp(-8 * np.sum((X - 0.5) ** 2, axis=1)),
             (9, 7, 11))
-        fwd, back = kr_map(rho0, rho1), kr_map(rho1, rho0)
+        fwd, back = KRMap(rho0, rho1), KRMap(rho1, rho0)
         X = np.concatenate([rng.uniform(size=(500, 3)),
                             rng.integers(0, 2, size=(8, 3)).astype(float)])
         Y = fwd(X)
@@ -316,7 +316,7 @@ class TestKrMap:
     def test_chunk_boundary_rows_match_single_rows(self, rng):
         rho1 = GridDensity.from_function(
             lambda X: 1 + 0.4 * X[:, 0] + 0.2 * X[:, 1], (65, 65))
-        phi = kr_map(GridDensity.uniform((65, 65)), rho1)
+        phi = KRMap(GridDensity.uniform((65, 65)), rho1)
         X = rng.uniform(0.0, 1.0, size=(2 * _CHUNK_ROWS + 7, 2))
         out = phi(X)
         for i in (0, _CHUNK_ROWS - 1, _CHUNK_ROWS, 2 * _CHUNK_ROWS - 1,
@@ -327,18 +327,18 @@ class TestKrMap:
 class TestDisplacementField:
     def test_identity_zero(self, rng):
         rho = GridDensity.from_function(lambda X: 1 + 0.3 * X[:, 0], (64,))
-        phi = kr_map(rho, rho)
+        phi = KRMap(rho, rho)
         for t in (0.0, 0.5, 1.0):
             u = displacement_field(phi, t, [0.4])
             assert abs(u[0]) <= 1e-5
 
     def test_sqrt_at_t0(self):
-        phi = kr_map(GridDensity.uniform((512,)), density_2x())
+        phi = KRMap(GridDensity.uniform((512,)), density_2x())
         u = displacement_field(phi, 0.0, [0.25])
         assert u[0] == pytest.approx(np.sqrt(0.25) - 0.25, abs=1e-5)
 
     def test_rk4_flow_reaches_target(self):
-        phi = kr_map(GridDensity.uniform((512,)), density_2x())
+        phi = KRMap(GridDensity.uniform((512,)), density_2x())
         x = np.array([0.25])
         n_steps = 64
         dt = 1.0 / n_steps

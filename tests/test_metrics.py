@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reluflow.compressible import profile_schedule, slope_profile
-from reluflow.gadgets import dilation_1d, shear_for_region
+from reluflow.gadgets import shear_for_region, slope_change_stages
 from reluflow.kr import GridDensity
 from reluflow.mesh import RectDomain
 from reluflow.metrics import (
@@ -55,7 +55,7 @@ class TestPushforward:
 
     def test_dilation_by_two(self):
         # uniform on [0,1] dilated by 2 -> density 1/2 on (0,2)
-        sched = dilation_1d(np.log(2.0), 0.0, 1, 1.0)
+        sched = slope_change_stages(0.0, 2.0, 1.0)
         rho_fn = lambda X: ((X[:, 0] >= 0) & (X[:, 0] <= 1)).astype(float)
         y = np.linspace(0.05, 1.95, 39)[:, None]
         vals = pushforward_values(sched, rho_fn, y)
