@@ -247,7 +247,7 @@ def permutation_schedule(sigma: Permutation,
                                   for m in range(d) if m != 1)
     drop = by_level(1, 0, slot * n + tgt[:, 0], (tgt[:, 1] - level) * h)
     unstagger = by_digits(0, -1)
-    return lifted + move + drop + unstagger
+    return ControlSchedule.concat((lifted, move, drop, unstagger))
 
 
 def swap_schedule(i, j, grid: CubeGrid) -> ControlSchedule:

@@ -161,7 +161,6 @@ class TestStaircase:
             shear_for_region(0, 1.5, 1, e - 0.01, e + 0.01, 2) for e in edges)
         assert sched.to_dict() == expected.to_dict()
 
-
     def test_all_zero_jumps_give_an_empty_schedule(self):
         assert len(staircase(0, 1, [0.0, 1.0], 0.0, 0.1, d=2)) == 0
         assert len(staircase(0, 1, [0.0, 1.0], [0.0, -0.0], 0.1, d=2)) == 0
@@ -170,22 +169,22 @@ class TestStaircase:
 class TestLift:
     def test_cells_move_by_their_c_order_index(self):
         # three lattices of 2, 3 and 4 bands, read from axes 2, 0 and 3;
-        # x_1 gets 0.7 times the cell's index, the last lattice fastest
+        # x_1 gets 0.7 times the cell's C-order index, the last lattice
+        # fastest
         lattices = [(2, np.array([0.0]), 0.05),
                     (0, np.array([-1.0, 1.0]), 0.1),
                     (3, np.array([0.0, 0.5, 1.0]), 0.02)]
         cores = [np.array([-0.5, 0.5]), np.array([-2.0, 0.0, 2.0]),
                  np.array([-0.5, 0.25, 0.75, 1.5])]
         sched = lift(1, lattices, 0.7, d=4)
-        cell = np.stack(np.meshgrid(*[np.arange(len(c)) for c in cores],
-                                    indexing="ij"), axis=-1).reshape(-1, 3)
+        cell = np.indices((2, 3, 4)).reshape(3, -1).T    # in C order
         X = np.zeros((len(cell), 4))
         for p, (axis, _, _) in enumerate(lattices):
             X[:, axis] = cores[p][cell[:, p]]
         X[:, 1] = np.linspace(-1.0, 1.0, len(cell))
         out, ld = flow_points(X, sched)
         expected = X.copy()
-        expected[:, 1] += 0.7 * np.ravel_multi_index(cell.T, (2, 3, 4))
+        expected[:, 1] += 0.7 * np.arange(len(cell))
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
         assert np.all(ld == 0.0)
 
