@@ -35,11 +35,8 @@ from reluflow.compressible import slope_profile
 from reluflow.mesh import (PiecewiseAffineMap, affine_through, in_simplex,
                            simplex_edges, simplex_volumes,
                            validate_homeomorphism)
+from reluflow.pipeline import FactorizationError
 from reluflow.schedule import PiecewiseLinear
-
-
-class FactorizationError(ValueError):
-    """Input map cannot be factorized (orientation or geometry failure)."""
 
 
 @dataclass(frozen=True)

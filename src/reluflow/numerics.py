@@ -92,18 +92,23 @@ def rk4(field, X: np.ndarray, q: np.ndarray, duration, step: float):
     ``field(X)`` returns (v, div v) at the rows of X.  ``duration`` is a
     scalar or one entry per row of X.  Each row's interval is cut into
     ceil(duration / step) equal steps, at least one; a row whose steps are
-    spent stands still while the others go on.  Returns (X, q).
+    spent stands still while the others go on.  The step sizes are formed
+    once, and again only after some row's steps run out.  Returns (X, q).
     """
     n = np.maximum(np.ceil(np.divide(duration, step)).astype(int), 1)
-    for i in range(int(np.max(n))):
-        h = np.where(i < n, duration / n, 0.0)
+    start = 0
+    for stop in np.unique(n).tolist():
+        h = np.where(start < n, duration / n, 0.0)
         hx = h[..., None]
-        k1, q1 = field(X)
-        k2, q2 = field(X + 0.5 * hx * k1)
-        k3, q3 = field(X + 0.5 * hx * k2)
-        k4, q4 = field(X + hx * k3)
-        X = X + (hx / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        q = q + (h / 6.0) * (q1 + 2 * q2 + 2 * q3 + q4)
+        half, sixth, q_sixth = 0.5 * hx, hx / 6.0, h / 6.0
+        for _ in range(start, stop):
+            k1, q1 = field(X)
+            k2, q2 = field(X + half * k1)
+            k3, q3 = field(X + half * k2)
+            k4, q4 = field(X + hx * k3)
+            X = X + sixth * (k1 + 2 * k2 + 2 * k3 + k4)
+            q = q + q_sixth * (q1 + 2 * q2 + 2 * q3 + q4)
+        start = stop
     return X, q
 
 

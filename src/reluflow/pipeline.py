@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from reluflow.compressible import profile_schedule
-from reluflow.factorize import FactorizationError
 from reluflow.gadgets import lift
 from reluflow.mesh import RectDomain
 from reluflow.metrics import _cell_centers, lp_map_error, pushforward_values
@@ -59,6 +58,11 @@ _RAMP_FRACTION = 1.0 / 64.0
 # Stagger spacing as a multiple of the widest band-map span, leaving gaps of
 # a quarter span between consecutive staggered bands and images.
 _STAGGER_FACTOR = 1.25
+
+
+class FactorizationError(ValueError):
+    """The target cannot be factorized: a band map is not strictly
+    increasing, or (polar route) an orientation or geometry failure."""
 
 
 @dataclass

@@ -31,8 +31,15 @@ Both runs are fused in difference form: their slopes (log-slopes for a
 profile run) accumulate the jump at each kink and their values follow from
 one anchor by a cumulative sum, so no large products cancel.  Other
 segments, short runs and segments past the exp overflow guard stay on the
-per-segment kernel, in order.  The kernels agree up to rounding; at a kink,
-where the log-det is undefined, they may take opposite one-sided values.
+per-segment loop, in order.  There, consecutive segments with equal
+(a, w, b), as a sampled schedule repeats them, are one autonomous field,
+whose flow is a one-parameter group: they merge into one loop entry held
+for their summed duration, unless that entry's exponent would pass the
+guard.  Each entry's displacement scale * w is premultiplied once, so a
+loop step is a handful of numpy calls on the whole batch.
+``flow_segments`` runs the same loop with nothing fused or merged.  The
+kernels agree up to rounding; at a kink, where the log-det is undefined,
+they may take opposite one-sided values.
 
 All flow operations are vectorized over arrays of points with shape (N, d);
 a single point x is the batch x[None].
@@ -241,9 +248,10 @@ class ControlSchedule:
 
 # Runs of fewer axis-aligned segments than this stay on the per-segment
 # loop.  A schedule flowed once on a small batch pays for compiling its runs:
-# on 64-point batches a fused shear run is faster than its segments from
-# about 12 segments on, while a profile run needs about 256 points to gain
-# (timings in CHANGES.md).  Shear runs are the ones sampled schedules have.
+# on 64-point batches of distinct random segments, a fused shear run costs
+# as much as its segments on the loop at 16 segments and less from there
+# on, a fused profile run at about 32 (timings in CHANGES.md).  Shear runs
+# are the ones sampled schedules have.
 MIN_FUSED_RUN = 16
 # flow_points moves a batch in blocks of this many rows.  A column of a
 # block is 64 KiB, under glibc's default 128 KiB mmap threshold: whole
@@ -432,67 +440,105 @@ class ProfileRun:
         return ProfileRun(self.axis, self.g.inverse(), -self.logdets)
 
 
+def _rates(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The divergence rate s = a.w of each row."""
+    return (a[:, None, :] @ w[:, :, None]).reshape(-1)
+
+
 @dataclass(frozen=True)
 class CompiledSchedule:
-    """A schedule as steps: fused runs and index arrays of loop segments.
+    """A schedule as steps: fused runs and index arrays of loop entries.
 
-    A step is a ShearRun, a ProfileRun or an index array of segments that
-    ``flow`` applies one at a time.  For those it keeps the schedule's a, w
-    and b and, computed once from each divergence rate s = a.w, the exponent
-    arg = s * duration and the displacement factor scale = expm1(arg) / s
-    (the duration when s = 0).  It keeps no reference to the schedule
+    A step is a ShearRun, a ProfileRun or an index array of loop entries
+    that ``flow`` applies one at a time.  A loop entry is one live segment,
+    or a group of consecutive live loop segments with equal (a, w, b)
+    merged into one held for their summed duration: the group is one
+    autonomous field, whose flow is a one-parameter group.  Per entry it
+    keeps a, w, b, the duration, a schedule row of the entry (named by the
+    overflow error) and, computed once from the divergence rate s = a.w,
+    the exponent arg = s * duration, the displacement factor
+    scale = expm1(arg) / s (the duration when s = 0) and the premultiplied
+    displacement shift = scale * w.  It keeps no reference to the schedule
     itself, so caching it there makes no cycle.
     """
 
+    rows: np.ndarray
     a: np.ndarray
     w: np.ndarray
     b: np.ndarray
+    duration: np.ndarray
     arg: np.ndarray
     scale: np.ndarray
+    shift: np.ndarray
     steps: tuple
 
     @classmethod
-    def build(cls, schedule: "ControlSchedule", steps=None) -> "CompiledSchedule":
-        """Compile ``schedule``: its runs are fused unless ``steps`` are given."""
-        a, w, duration = schedule.a, schedule.w, schedule.duration
-        s = (a[:, None, :] @ w[:, :, None]).reshape(-1)
+    def of_entries(cls, rows, a, w, b, duration, steps) -> "CompiledSchedule":
+        """The compiled form whose loop entry i drives (w[i], a[i], b[i])
+        for duration[i] and comes from schedule row rows[i]."""
+        s = _rates(a, w)
         arg = s * duration
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # segments past the overflow guard never reach their scale
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # entries past the overflow guard never reach their scale
             scale = np.where(s != 0.0,
                              np.expm1(np.minimum(arg, _EXP_ARG_MAX)) / s,
                              duration)
-        if steps is None:
-            steps = _fuse_runs(schedule, arg)
-        return cls(a, w, schedule.b, arg, scale, steps)
+            shift = scale[:, None] * w
+        return cls(rows, a, w, b, duration, arg, scale, shift, steps)
+
+    @classmethod
+    def build(cls, schedule: "ControlSchedule") -> "CompiledSchedule":
+        """Compile ``schedule``: fuse its long axis-aligned runs and merge
+        the repeated segments left on the loop (``_merge_repeats``)."""
+        s = _rates(schedule.a, schedule.w)
+        steps = _fuse_runs(schedule, s * schedule.duration)
+        loops = [step for step in steps if isinstance(step, np.ndarray)]
+        rows, duration, counts = _merge_repeats(schedule, s, loops)
+        # each loop step now indexes its own entries
+        bounds = np.cumsum([0] + counts).tolist()
+        entries = iter(map(np.arange, bounds, bounds[1:]))
+        steps = tuple(next(entries) if isinstance(step, np.ndarray) else step
+                      for step in steps)
+        return cls.of_entries(rows, schedule.a[rows], schedule.w[rows],
+                              schedule.b[rows], duration, steps)
 
     def flow(self, X: np.ndarray, logdet: np.ndarray) -> None:
         """Apply the steps in order to X and logdet, in place.
 
-        Loop segments use the closed form of the module docstring.  An
-        active point on a segment whose exponent exceeds the overflow guard
+        Loop entries use the closed form of the module docstring.  An
+        active point on an entry whose exponent exceeds the overflow guard
         raises FlowOverflowError.
         """
         a, w = self.a, self.w
-        b, arg, scale = self.b.tolist(), self.arg.tolist(), self.scale.tolist()
+        # X.T has contiguous rows when X is in Fortran order (see _start)
+        XT, shift = X.T, self.shift[:, :, None]
+        rows, b, arg = self.rows.tolist(), self.b.tolist(), self.arg.tolist()
+        scale = self.scale.tolist()
+        finite = np.isfinite(self.shift).all(axis=1).tolist()
         for step in self.steps:
             if not isinstance(step, np.ndarray):
                 step.apply(X, logdet)
                 continue
             for i in step.tolist():
-                z = X.dot(a[i]) + b[i]
-                active = z > 0.0
+                z = X.dot(a[i])
+                z += b[i]
                 if arg[i] > _EXP_ARG_MAX:
-                    if active.any():
+                    if (z > 0.0).any():
                         raise FlowOverflowError(
-                            f"segment {i}: exp argument s*duration = "
+                            f"segment {rows[i]}: exp argument s*duration = "
                             f"{arg[i]:.3g} too large")
                     continue
-                # np.where, not relu(z) * scale: 0 * inf would put NaN on
-                # inactive rows
-                X += np.where(active, z * scale[i], 0.0)[:, None] * w[i]
+                if finite[i]:
+                    np.maximum(z, 0.0, out=z)    # z > 0 still marks the active
+                    XT += shift[i] * z
+                else:
+                    # np.where, not relu(z) * shift: 0 * inf would put NaN
+                    # on inactive rows
+                    with np.errstate(invalid="ignore"):
+                        moved = np.where(z > 0.0, z * scale[i], 0.0)
+                    X += moved[:, None] * w[i]
                 if arg[i] != 0.0:
-                    logdet += arg[i] * active
+                    np.add(logdet, arg[i], out=logdet, where=z > 0.0)
 
 
 def _live(schedule: "ControlSchedule") -> np.ndarray:
@@ -541,13 +587,45 @@ def _fuse_runs(schedule: "ControlSchedule", arg: np.ndarray) -> tuple:
     return tuple(steps)
 
 
+def _merge_repeats(schedule: "ControlSchedule", s: np.ndarray,
+                   loops: list) -> tuple:
+    """The loop entries of ``loops``, the index arrays of loop segments in
+    step order: each entry's first segment, its summed duration, and the
+    number of entries of each index array.
+
+    An entry is a maximal group of consecutive segments of one index array
+    with equal (a, w, b).  A group whose merged exponent |s| * (summed
+    duration) passes the overflow guard stays segment by segment, so that
+    no point overflows that did not before.
+    """
+    if not loops:
+        return np.zeros(0, dtype=int), np.zeros(0), []
+    ids = np.concatenate(loops)
+    fields = np.concatenate([schedule.a[ids], schedule.w[ids],
+                             schedule.b[ids, None]], axis=1)
+    ends = np.cumsum([len(step) for step in loops])
+    first = np.ones(len(ids), dtype=bool)
+    first[1:] = (fields[1:] != fields[:-1]).any(axis=1)
+    first[ends[:-1]] = True
+    starts = np.flatnonzero(first)
+    duration = np.add.reduceat(schedule.duration[ids], starts)
+    too_long = np.abs(s[ids[starts]] * duration) > _EXP_ARG_MAX
+    if too_long.any():
+        first |= np.repeat(too_long, np.diff(starts, append=len(ids)))
+        starts = np.flatnonzero(first)
+        duration = np.add.reduceat(schedule.duration[ids], starts)
+    counts = np.diff(np.searchsorted(starts, ends), prepend=0)
+    return ids[starts], duration, counts.tolist()
+
+
 def compile_schedule(schedule: "ControlSchedule") -> CompiledSchedule:
     """The schedule's compiled form, built once and cached on the schedule.
 
     Maximal runs of at least MIN_FUSED_RUN axis-aligned segments (a = a_k
     e_k, w = w_l e_l, |s tau| within the overflow guard) become one exact
-    piecewise-linear map each; other segments keep the per-segment kernel.
-    Segments with zero duration or zero w are dropped: they move nothing.
+    piecewise-linear map each; other segments keep the per-segment kernel,
+    where consecutive equal segments merge into one entry.  Segments with
+    zero duration or zero w are dropped: they move nothing.
     """
     if schedule._compiled is None:
         schedule._compiled = CompiledSchedule.build(schedule)
@@ -555,8 +633,9 @@ def compile_schedule(schedule: "ControlSchedule") -> CompiledSchedule:
 
 
 def _start(X, schedule: "ControlSchedule"):
-    """Checked copy of the points and a zero log-det."""
-    X = np.array(X, dtype=float, ndmin=2)
+    """Checked copy of the points, in Fortran order (each coordinate
+    contiguous, for the flow kernels), and a zero log-det."""
+    X = np.array(X, dtype=float, ndmin=2, order="F")
     if not np.all(np.isfinite(X)):
         raise ValueError("points contain non-finite entries")
     if schedule.d is not None and X.shape[1] != schedule.d:
@@ -570,21 +649,25 @@ def flow_points(X: np.ndarray, schedule: "ControlSchedule"):
 
     Runs through the schedule's compiled form.  The input is copied once
     and the copy is updated in place, in blocks of ``_FLOW_BLOCK_ROWS``
-    rows (the rows flow independently).
+    rows (the rows flow independently); X_out is in C order.
     """
     X, logdet = _start(X, schedule)
     compiled = compile_schedule(schedule)
     for start in range(0, len(X), _FLOW_BLOCK_ROWS):
         block = slice(start, start + _FLOW_BLOCK_ROWS)
         compiled.flow(X[block], logdet[block])
-    return X, logdet
+    return np.ascontiguousarray(X), logdet
 
 
 def flow_segments(X: np.ndarray, schedule: "ControlSchedule"):
-    """The per-segment reference kernel: like flow_points, no run fused."""
+    """The per-segment reference kernel: like flow_points, with no run
+    fused and no segment merged."""
     X, logdet = _start(X, schedule)
-    CompiledSchedule.build(schedule, (_live(schedule),)).flow(X, logdet)
-    return X, logdet
+    ids = _live(schedule)
+    CompiledSchedule.of_entries(ids, schedule.a[ids], schedule.w[ids],
+                                schedule.b[ids], schedule.duration[ids],
+                                (np.arange(len(ids)),)).flow(X, logdet)
+    return np.ascontiguousarray(X), logdet
 
 
 def invert_schedule(schedule: ControlSchedule) -> ControlSchedule:
@@ -594,17 +677,20 @@ def invert_schedule(schedule: ControlSchedule) -> ControlSchedule:
     composition with the original flow is the identity in exact arithmetic.
     The result carries the inverse of the schedule's compiled form: its
     steps reversed, each fused run inverted exactly (shear values negated;
-    profile knots and values swapped, log-dets negated), so a round trip
-    does not pass through a recompilation of the reversed segments.
+    profile knots and values swapped, log-dets negated) and the loop
+    entries reversed with their merged durations, so a round trip does not
+    pass through a recompilation of the reversed segments.
     """
     inverse = ControlSchedule.from_arrays(schedule.a[::-1], -schedule.w[::-1],
                                           schedule.b[::-1],
                                           schedule.duration[::-1])
-    last = len(schedule) - 1
-    steps = tuple(last - step[::-1] if isinstance(step, np.ndarray)
-                  else step.inverse()
-                  for step in reversed(compile_schedule(schedule).steps))
-    inverse._compiled = CompiledSchedule.build(inverse, steps)
+    compiled = compile_schedule(schedule)
+    last, n = len(schedule) - 1, len(compiled.rows) - 1
+    steps = tuple(n - step[::-1] if isinstance(step, np.ndarray)
+                  else step.inverse() for step in reversed(compiled.steps))
+    inverse._compiled = CompiledSchedule.of_entries(
+        last - compiled.rows[::-1], compiled.a[::-1], -compiled.w[::-1],
+        compiled.b[::-1], compiled.duration[::-1], steps)
     return inverse
 
 

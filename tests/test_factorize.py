@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from reluflow.factorize import (
-    FactorizationError,
     check_factorization,
     polar_factorize,
 )
@@ -14,6 +13,7 @@ from reluflow.mesh import (
     simplex_edges,
     simplex_volumes,
 )
+from reluflow.pipeline import FactorizationError
 
 UNIT_SQUARE = RectDomain([0.0, 0.0], [1.0, 1.0])
 UNIT_CUBE = RectDomain([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])

@@ -13,7 +13,7 @@ from reluflow.maurey import (
     run_errors,
     sample_schedule,
 )
-from reluflow.numerics import neuron_field
+from reluflow.numerics import neuron_field, rk4
 from reluflow.schedule import ControlSchedule, flow_points
 
 
@@ -155,6 +155,33 @@ class TestSampleSchedule:
         mean = draws.mean(axis=0)
         se = draws.std(axis=0, ddof=1) / np.sqrt(len(draws))
         assert np.all(np.abs(mean - exact) <= 3 * se + 1e-12)
+
+
+class TestReferenceFlow:
+    @staticmethod
+    def cell_by_cell(m, X, step):
+        """RK4 over eval_mixture at each cell's midpoint, cell by cell."""
+        q = np.zeros(len(X))
+        for i in range(m.n_cells):
+            t0, t1 = m.time_grid[i], m.time_grid[i + 1]
+            X, q = rk4(lambda Y, t=0.5 * (t0 + t1): eval_mixture(m, t, Y),
+                       X, q, t1 - t0, step)
+        return X, q
+
+    def test_equals_rk4_over_eval_mixture(self, rng):
+        a = rng.normal(size=(5, 2))
+        a /= np.linalg.norm(a, axis=1)[:, None]
+        mass = rng.uniform(0, 1, size=(3, 5)) * (rng.uniform(size=(3, 5)) > 0.3)
+        mixtures = (builtin_mixture(),
+                    TimeMixture([0.0, 0.2, 0.65, 1.0], a,
+                                rng.normal(size=(5, 2)),
+                                rng.uniform(-1, 1, size=5), mass, 2.0))
+        X = rng.uniform(-1.5, 1.5, size=(64, 2))
+        for m in mixtures:
+            for step in (1e-3, 0.07):
+                X_ref, q_ref = self.cell_by_cell(m, X, step)
+                Y, q = reference_flow(m, X, step=step)
+                assert np.array_equal(Y, X_ref) and np.array_equal(q, q_ref)
 
 
 class TestRunErrors:

@@ -3,10 +3,10 @@ import time
 import numpy as np
 import pytest
 
-from reluflow.factorize import FactorizationError
 from reluflow.kr import GridDensity
 from reluflow.mesh import RectDomain
 from reluflow.pipeline import (
+    FactorizationError,
     RealizeResult,
     map_errors,
     realize_target,

@@ -447,6 +447,89 @@ class TestCompiledSchedule:
         assert compile_schedule(sched) is compile_schedule(sched)
 
 
+def loop_entries(sched) -> int:
+    """The number of entries on the compiled schedule's per-segment loop."""
+    return sum(len(step) for step in compile_schedule(sched).steps
+               if isinstance(step, np.ndarray))
+
+
+class TestMergedLoop:
+    """Consecutive loop segments with equal (a, w, b) flow as one entry for
+    their summed duration."""
+
+    @staticmethod
+    def repeated(rng, d=2):
+        """Generic rows, each repeated one to four times, with a row of zero
+        duration inside one repeated group."""
+        rows = []
+        for _ in range(12):
+            w, a = rng.uniform(-1, 1, size=d), rng.uniform(-1, 1, size=d)
+            b = rng.uniform(-0.5, 0.5)
+            group = [(w, a, b, rng.uniform(0, 0.2))
+                     for _ in range(int(rng.integers(1, 5)))]
+            rows += group
+        rows.insert(1, (rows[0][0], rows[0][1], rows[0][2], 0.0))
+        return schedule_of(*rows)
+
+    def test_repeated_rows_match_the_segments(self, rng):
+        sched = self.repeated(rng)
+        live = int(np.count_nonzero(sched.duration > 0))
+        assert loop_entries(sched) <= 12 < live
+        X = rng.uniform(-2, 2, size=(256, 2))
+        Y, ld = flow_points(X, sched)
+        Y_ref, ld_ref = flow_segments(X, sched)
+        np.testing.assert_allclose(Y, Y_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ld, ld_ref, rtol=0, atol=1e-12)
+
+    def test_fused_run_keeps_equal_rows_apart(self, rng):
+        row = ([0.3, -0.4], [0.6, 0.8], 0.1, 0.2)
+        run = [_aligned(0, 1, 2, rng) for _ in range(MIN_FUSED_RUN)]
+        sched = schedule_of(row, *run, row)
+        steps = compile_schedule(sched).steps
+        assert [type(step) for step in steps] == [np.ndarray, ShearRun,
+                                                  np.ndarray]
+        X = rng.uniform(-2, 2, size=(64, 2))
+        Y, ld = flow_points(X, sched)
+        Y_ref, ld_ref = flow_segments(X, sched)
+        np.testing.assert_allclose(Y, Y_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ld, ld_ref, rtol=0, atol=1e-12)
+
+    def test_merged_round_trip(self, rng):
+        sched = self.repeated(rng)
+        inv = invert_schedule(sched)
+        assert loop_entries(inv) == loop_entries(sched)
+        X = rng.uniform(-2, 2, size=(256, 2))
+        Y, ld = flow_points(X, sched)
+        Z, lz = flow_points(Y, inv)
+        np.testing.assert_allclose(Z, X, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ld + lz, 0.0, rtol=0, atol=1e-12)
+
+    def test_group_past_the_guard_stays_unmerged(self):
+        # s tau = 400 each; merged, 800 would pass the overflow guard and
+        # raise on every active point
+        seg = ([400.0], [1.0], 0.0, 1.0)
+        sched = schedule_of(seg, seg)
+        assert loop_entries(sched) == 2
+        X = np.array([[-1.0], [1e-200], [3e-250]])
+        Y, ld = flow_points(X, sched)
+        Y_ref, ld_ref = flow_segments(X, sched)
+        np.testing.assert_array_equal(Y, Y_ref)
+        np.testing.assert_array_equal(ld, ld_ref)
+        assert Y[0, 0] == -1.0 and np.all(np.isfinite(Y))
+        np.testing.assert_allclose(ld, [0.0, 800.0, 800.0], rtol=1e-15)
+
+    def test_infinite_shift_leaves_inactive_points(self):
+        # s = 1e-10 and s tau = 690, within the guard: scale = expm1(690) / s
+        # overflows, and scale * w holds 0 * inf
+        sched = schedule_of(([1e-5, 0.0], [1e-5, 0.0], 0.0, 6.9e12))
+        assert not np.all(np.isfinite(compile_schedule(sched).shift))
+        X = np.array([[-1.0, 0.5], [-3.0, -2.0], [0.0, 1.0]])
+        for kernel in (flow_points, flow_segments):
+            Y, ld = kernel(X, sched)
+            np.testing.assert_array_equal(Y, X)
+            np.testing.assert_array_equal(ld, 0.0)
+
+
 class TestFusedProfileRuns:
     """Profile runs whose kinks coincide, which the fused map must merge
     into one knot, compared with the per-segment kernel off the kinks."""
