@@ -97,7 +97,7 @@ def rk4(field, X: np.ndarray, q: np.ndarray, duration, step: float):
     """
     n = np.maximum(np.ceil(np.divide(duration, step)).astype(int), 1)
     start = 0
-    for stop in np.unique(n).tolist():
+    for stop in sorted(set(np.ravel(n).tolist())):
         h = np.where(start < n, duration / n, 0.0)
         hx = h[..., None]
         half, sixth, q_sixth = 0.5 * hx, hx / 6.0, h / 6.0

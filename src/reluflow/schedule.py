@@ -493,10 +493,8 @@ class CompiledSchedule:
         s = _rates(schedule.a, schedule.w)
         steps = _fuse_runs(schedule, s * schedule.duration)
         loops = [step for step in steps if isinstance(step, np.ndarray)]
-        rows, duration, counts = _merge_repeats(schedule, s, loops)
-        # each loop step now indexes its own entries
-        bounds = np.cumsum([0] + counts).tolist()
-        entries = iter(map(np.arange, bounds, bounds[1:]))
+        rows, duration, entries = _merge_repeats(schedule, s, loops)
+        entries = iter(entries)
         steps = tuple(next(entries) if isinstance(step, np.ndarray) else step
                       for step in steps)
         return cls.of_entries(rows, schedule.a[rows], schedule.w[rows],
@@ -590,8 +588,8 @@ def _fuse_runs(schedule: "ControlSchedule", arg: np.ndarray) -> tuple:
 def _merge_repeats(schedule: "ControlSchedule", s: np.ndarray,
                    loops: list) -> tuple:
     """The loop entries of ``loops``, the index arrays of loop segments in
-    step order: each entry's first segment, its summed duration, and the
-    number of entries of each index array.
+    step order: each entry's first segment, its summed duration, and for
+    each index array the indices of its entries.
 
     An entry is a maximal group of consecutive segments of one index array
     with equal (a, w, b).  A group whose merged exponent |s| * (summed
@@ -614,8 +612,8 @@ def _merge_repeats(schedule: "ControlSchedule", s: np.ndarray,
         first |= np.repeat(too_long, np.diff(starts, append=len(ids)))
         starts = np.flatnonzero(first)
         duration = np.add.reduceat(schedule.duration[ids], starts)
-    counts = np.diff(np.searchsorted(starts, ends), prepend=0)
-    return ids[starts], duration, counts.tolist()
+    bounds = np.searchsorted(starts, np.concatenate([[0], ends])).tolist()
+    return ids[starts], duration, list(map(np.arange, bounds, bounds[1:]))
 
 
 def compile_schedule(schedule: "ControlSchedule") -> CompiledSchedule:
