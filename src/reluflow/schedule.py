@@ -26,7 +26,8 @@ e_k, w = w_l e_l) acts on one coordinate at a time and is fused into one
 exact piecewise-linear map.  A shear run (k != l, s = 0) adds f(x_k) to
 x_l; a profile run (k = l) maps x_k monotonically, with a piecewise-constant
 log-det.  Both hold their map as a ``PiecewiseLinear`` (knots, values and
-one slope per piece), the package's one form of a 1-d piecewise-linear map.
+one slope per piece), the package's one form of a 1-d piecewise-linear map,
+which finds each point's piece in a bucket table built on first use.
 Both runs are fused in difference form: their slopes (log-slopes for a
 profile run) accumulate the jump at each kink and their values follow from
 one anchor by a cumulative sum, so no large products cancel.  Other
@@ -50,6 +51,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -132,9 +134,10 @@ class ControlSchedule:
     """An ordered list of segments; the control is constant on each.
 
     ``ControlSchedule()`` is the empty schedule; ``from_arrays`` builds any
-    other.  The arrays a, w, b and duration are copied, checked once and
-    made read-only, so the compiled form cached on the schedule cannot go
-    stale.
+    other.  The arrays a, w, b and duration are checked once and made
+    read-only, so the compiled form cached on the schedule cannot go stale:
+    ``from_arrays`` copies the arrays it is handed, ``concat`` keeps the
+    ones it has just concatenated.
     """
 
     __slots__ = ("a", "w", "b", "duration", "_compiled", "__weakref__")
@@ -149,8 +152,10 @@ class ControlSchedule:
         schedule._store(a, w, b, duration)
         return schedule
 
-    def _store(self, a, w, b, duration) -> None:
-        a, w, b, duration = (np.array(v, dtype=float)
+    def _store(self, a, w, b, duration, copy: bool = True) -> None:
+        """Check and keep the arrays, copied unless ``copy`` is False (for
+        float arrays that nothing else holds)."""
+        a, w, b, duration = (np.array(v, dtype=float, copy=copy or None)
                              for v in (a, w, b, duration))
         if a.ndim != 2 or w.shape != a.shape:
             raise ValueError("w and a must have the same dimension")
@@ -201,9 +206,11 @@ class ControlSchedule:
         parts = [s for s in schedules if len(s)]
         if not parts:
             return cls()
-        return cls.from_arrays(*(np.concatenate([getattr(s, name)
-                                                 for s in parts])
-                                 for name in ("a", "w", "b", "duration")))
+        schedule = cls.__new__(cls)
+        # the concatenated arrays are fresh: no second copy
+        schedule._store(*(np.concatenate([getattr(s, name) for s in parts])
+                          for name in ("a", "w", "b", "duration")), copy=False)
+        return schedule
 
     # --- JSON persistence -------------------------------------------------
     def to_dict(self) -> dict:
@@ -305,8 +312,48 @@ class PiecewiseLinear:
         return cls(knots, values, slopes)
 
     def piece(self, x: np.ndarray) -> np.ndarray:
-        """Index of the piece holding each x (a knot opens its right piece)."""
-        return np.searchsorted(self.knots, x, side="right")
+        """Index of the piece holding each x (a knot opens its right piece):
+        ``np.searchsorted(knots, x, side="right")``, with NaN past every knot.
+
+        The knots and x share one monotone map to uniform buckets over
+        [knots[0], knots[-1]] (``_bucket``), so a knot in an earlier bucket
+        than x's is <= x and one in a later bucket is > x.  x's piece is
+        the number of knots before its bucket, read from a table built on
+        first use, plus the knots <= x inside the bucket, counted by a
+        bisection of as many steps as the fullest bucket needs.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            return self.piece(x[None])[0]
+        origin, scale, top, first, steps, padded = self._buckets
+        i = first.take(_bucket(x, origin, scale, top))
+        for step in steps:
+            # padded[step - 1:][i] is knot i + step - 1, or +inf past the end
+            np.add(i, step, out=i, where=~(padded[step - 1:].take(i) > x))
+        # a NaN or +inf x also counts the padding
+        return np.minimum(i, len(self.knots), out=i)
+
+    @cached_property
+    def _buckets(self) -> tuple:
+        """The lookup table of ``piece``: the bucket map's origin, scale and
+        last bucket (about four buckets per knot), each bucket's first knot
+        index, the bisection steps (powers of two, largest first) and the
+        knots padded with +inf for them."""
+        knots = self.knots
+        top = 4 * len(knots) - 1
+        origin = knots[0]
+        with np.errstate(divide="ignore", over="ignore"):
+            scale = (top + 1) / (knots[-1] - origin)
+        if not 0.0 < scale < np.inf:     # one knot, or an extreme span
+            scale = 1.0
+        counts = np.bincount(_bucket(knots, origin, scale, top),
+                             minlength=top + 1)
+        first = np.zeros(top + 1, dtype=np.intp)
+        np.cumsum(counts[:-1], out=first[1:])
+        steps = [1 << j for j in reversed(range(int(counts.max())
+                                                .bit_length()))]
+        padded = np.concatenate([knots, np.full(2 * steps[0] - 1, np.inf)])
+        return origin, scale, top, first, steps, padded
 
     def __call__(self, x: np.ndarray, piece=None) -> np.ndarray:
         i = self.piece(x) if piece is None else piece
@@ -322,6 +369,17 @@ class PiecewiseLinear:
         ok = all(np.all(np.isfinite(p)) for p in parts)
         ok = ok and bool(np.all(np.diff(self.knots) > 0))
         return ok and (not increasing or bool(np.all(self.slopes > 0)))
+
+
+def _bucket(x: np.ndarray, origin: float, scale: float,
+            top: int) -> np.ndarray:
+    """floor((x - origin) * scale) clamped to [0, top], for x of at least
+    one dimension: monotone in x, and NaN goes to ``top``."""
+    v = x - origin
+    v *= scale
+    np.fmin(v, top, out=v)
+    np.fmax(v, 0.0, out=v)
+    return v.astype(np.intp)
 
 
 def _kinked(kinks: np.ndarray, left: float, jumps: np.ndarray) -> tuple:
@@ -556,6 +614,8 @@ def _fuse_runs(schedule: "ControlSchedule", arg: np.ndarray) -> tuple:
     a_axes, w_axes = a[ids] != 0.0, w[ids] != 0.0
     aligned = ((a_axes.sum(axis=1) == 1) & (w_axes.sum(axis=1) == 1)
                & (np.abs(arg[ids]) <= _EXP_ARG_MAX))
+    if np.count_nonzero(aligned) < MIN_FUSED_RUN:    # no run can fuse
+        return (ids,)
     key = np.where(aligned, a_axes.argmax(axis=1) * d + w_axes.argmax(axis=1),
                    -1)
     cuts = np.flatnonzero(np.diff(key)) + 1

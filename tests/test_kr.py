@@ -144,6 +144,22 @@ def cdfs_of_slices(dens, repeats):
     return table, table.at(np.repeat(table.lead[0], repeats)[:, None])
 
 
+def counted_inverse(F, targets):
+    """F.invert by the count of blended cumulative entries <= the mass,
+    with the whole (n, nodes) blended rows formed: the reference for the
+    bisection.  Also returns whether each row is non-decreasing."""
+    nodes = F.table.nodes
+    cum = np.einsum("pc,pcm->pm", F.weights, F.table.cum[F.rows])
+    mass = targets * cum[:, -1]
+    i = np.maximum(np.count_nonzero(cum <= mass[:, None], axis=1) - 1, 0)
+    d0, slope = F._piece(i)
+    r = mass - cum[np.arange(len(i)), i]
+    f = 2.0 * r / (d0 + np.sqrt(np.maximum(d0 * d0 + 2.0 * slope * r, 0.0)))
+    right = nodes[np.minimum(i + 1, len(nodes) - 1)]
+    return (nodes[i] + np.clip(f, 0.0, right - nodes[i]),
+            np.all(np.diff(cum, axis=1) >= 0, axis=1))
+
+
 class TestClosedFormInverse:
     def slices(self, rng):
         n = 11
@@ -172,6 +188,23 @@ class TestClosedFormInverse:
         assert np.max(np.abs(t - reference)) <= 1e-10
         assert np.max(np.abs(F.eval(t) - u)) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [20260823, 3, 17])
+    def test_bisection_equals_the_count(self, seed):
+        rng = np.random.default_rng(seed)
+        dens = self.slices(rng)
+        n_rows, n = dens.shape
+        table, _ = cdfs_of_slices(dens, 1)
+        knots = table.cum / table.cum[:, -1:]
+        u = np.concatenate([np.zeros((n_rows, 1)), np.ones((n_rows, 1)),
+                            knots, np.nextafter(knots, -1), np.nextafter(knots, 2),
+                            np.full((n_rows, 1), -1e-13),
+                            np.full((n_rows, 1), 1 + 1e-13),
+                            rng.uniform(size=(n_rows, 40))], axis=1)
+        _, F = cdfs_of_slices(dens, u.shape[1])
+        expected, increasing = counted_inverse(F, u.ravel())
+        assert increasing.all()
+        np.testing.assert_array_equal(F.invert(u.ravel()), expected)
+
     def test_endpoints_and_knots_exact(self, rng):
         dens = self.slices(rng)
         n_rows, n = dens.shape
@@ -189,10 +222,11 @@ class TestClosedFormInverse:
 
     def test_slices_are_the_given_rows(self, rng):
         dens = self.slices(rng)
-        _, F = cdfs_of_slices(dens, 1)
+        table, F = cdfs_of_slices(dens, 1)
         widths = np.diff(np.linspace(0, 1, dens.shape[1]))
         cum = np.cumsum(widths * (dens[:, :-1] + dens[:, 1:]) / 2, axis=1)
-        np.testing.assert_array_equal(F._cum_rows[:, 1:], cum)
+        rows = np.einsum("pc,pcm->pm", F.weights, table.cum[F.rows])
+        np.testing.assert_array_equal(rows[:, 1:], cum)
 
 
 class TestSliceTable:
@@ -221,8 +255,40 @@ class TestSliceTable:
         np.testing.assert_allclose(blended, expected, rtol=1e-13)
         cum = np.cumsum(np.diff(t) * (expected[:, :-1] + expected[:, 1:]) / 2,
                         axis=1)
-        np.testing.assert_allclose(F._cum_rows[:, 1:], cum, rtol=1e-13)
+        rows = np.einsum("pc,pcm->pm", F.weights, table.cum[F.rows])
+        np.testing.assert_allclose(rows[:, 1:], cum, rtol=1e-13)
         np.testing.assert_allclose(F.total, cum[:, -1], rtol=1e-13)
+
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_bisection_equals_the_count(self, rng, k):
+        # flat rows but for two pieces, light at the first node of the
+        # leading axes and heavy at the second: a prefix left of 0 weighs
+        # the heavy row by less than 0, and its blended row falls there
+        values = np.ones((3,) * (k - 1) + (9,))
+        values[(0,) * (k - 1) + (slice(2, 4),)] = 0.05
+        values[(1,) * (k - 1) + (slice(2, 4),)] = 2.0
+        table = _SliceTable(GridDensity(values))
+        prefix = np.concatenate([
+            np.stack([rng.choice(nodes, 20) for nodes in table.lead], -1),
+            rng.uniform(size=(30, k - 1)),
+            rng.uniform(-0.1, 1.1, size=(30, k - 1)),
+            np.full((1, k - 1), -0.1)])
+        u = np.concatenate([[0.0, 1.0, -1e-13, 1 + 1e-13],
+                            rng.uniform(size=46)])
+        F = table.at(np.repeat(prefix, len(u), axis=0))
+        u = np.tile(u, len(prefix))
+        # a falling row can give a zero or negative density in the root
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected, increasing = counted_inverse(F, u)
+            t = F.invert(u)
+        inside = np.repeat(np.all((prefix >= 0) & (prefix <= 1), axis=1),
+                           len(u) // len(prefix))
+        assert increasing[inside].all() and not increasing.all()
+        np.testing.assert_array_equal(t[increasing], expected[increasing])
+        # a falling row is no CDF: the bisection and the count may pick
+        # different pieces there, and the bisection's result stays in [0, 1]
+        assert np.all((t[~increasing] >= 0.0) & (t[~increasing] <= 1.0))
 
 
 class TestKrMap:

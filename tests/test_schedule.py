@@ -274,6 +274,34 @@ class TestPiecewiseLinear:
         assert f.inverse()(np.array([0.0]))[0] == pytest.approx(-0.6)
 
 
+    @pytest.mark.parametrize("gaps", ["uniform", "heavy-tailed", "one knot"])
+    def test_piece_equals_searchsorted(self, rng, gaps):
+        for _ in range(20):
+            n = 1 if gaps == "one knot" else int(rng.integers(2, 300))
+            steps = (rng.uniform(size=n) if gaps == "uniform"
+                     # a few huge gaps between clusters of tiny ones, as the
+                     # level offsets of a permutation schedule give
+                     else rng.pareto(0.3, size=n) + 1e-12)
+            knots = np.unique(rng.normal() + rng.choice([1e-6, 1.0, 1e6])
+                              * np.cumsum(steps))
+            f = PiecewiseLinear(knots, knots, np.ones(len(knots) + 1))
+            x = np.concatenate([
+                rng.uniform(2 * knots[0] - knots[-1] - 1,
+                            2 * knots[-1] - knots[0] + 1, size=500),
+                knots, np.nextafter(knots, -np.inf),
+                np.nextafter(knots, np.inf), [np.inf, -np.inf, np.nan]])
+            np.testing.assert_array_equal(
+                f.piece(x), np.searchsorted(knots, x, side="right"))
+            # 2-d and 0-d x keep their shape
+            np.testing.assert_array_equal(
+                f.piece(x[:300].reshape(20, 15)),
+                np.searchsorted(knots, x[:300], side="right").reshape(20, 15))
+            for v in (knots[-1], np.nan, -np.inf, np.float64(x[0]),
+                      np.array(x[1])):
+                assert np.shape(f.piece(v)) == ()
+                assert f.piece(v) == np.searchsorted(knots, v, side="right")
+
+
 def _aligned(read, write, d, rng, scale=1.0, duration=0.05):
     """An axis-aligned row (w, a, b, duration): a = +-e_read, w = c e_write."""
     a, w = np.zeros(d), np.zeros(d)
