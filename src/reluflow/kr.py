@@ -206,8 +206,8 @@ class _ConditionalCDF:
     def _blend(self, values: np.ndarray, col) -> np.ndarray:
         """Entry ``col`` (one per point, or shared) of each point's slice of
         the table ``values``."""
-        return np.einsum("pc,pc->p", self.weights,
-                         values.take(self._starts + np.asarray(col)[..., None]))
+        entries = values.take(self._starts + np.asarray(col)[..., None])
+        return np.einsum("pc,pc->p", self.weights, entries)
 
     def _cum_entry(self, col) -> np.ndarray:
         """Entry ``col`` (one per point, or shared) of each point's blended

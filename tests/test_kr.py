@@ -196,7 +196,8 @@ class TestClosedFormInverse:
         table, _ = cdfs_of_slices(dens, 1)
         knots = table.cum / table.cum[:, -1:]
         u = np.concatenate([np.zeros((n_rows, 1)), np.ones((n_rows, 1)),
-                            knots, np.nextafter(knots, -1), np.nextafter(knots, 2),
+                            knots, np.nextafter(knots, -1),
+                            np.nextafter(knots, 2),
                             np.full((n_rows, 1), -1e-13),
                             np.full((n_rows, 1), 1 + 1e-13),
                             rng.uniform(size=(n_rows, 40))], axis=1)
@@ -258,7 +259,6 @@ class TestSliceTable:
         rows = np.einsum("pc,pcm->pm", F.weights, table.cum[F.rows])
         np.testing.assert_allclose(rows[:, 1:], cum, rtol=1e-13)
         np.testing.assert_allclose(F.total, cum[:, -1], rtol=1e-13)
-
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_bisection_equals_the_count(self, rng, k):

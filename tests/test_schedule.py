@@ -273,7 +273,6 @@ class TestPiecewiseLinear:
         # below the image, the inverse continues the first piece's slope
         assert f.inverse()(np.array([0.0]))[0] == pytest.approx(-0.6)
 
-
     @pytest.mark.parametrize("gaps", ["uniform", "heavy-tailed", "one knot"])
     def test_piece_equals_searchsorted(self, rng, gaps):
         for _ in range(20):
