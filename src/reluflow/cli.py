@@ -117,6 +117,9 @@ def cmd_maurey(config: dict, out, seed: int) -> int:
         "n_seeds": 20, "n_eval": 64, "step": 1e-3, "eval_radius_frac": 0.5,
     }
     cfg = _config_echo(defaults, config, seed)
+    for key in ("n_seeds", "n_eval"):
+        if int(cfg[key]) < 1:
+            raise ValueError(f"{key} must be >= 1; got {cfg[key]}")
     if cfg["mixture"] == "builtin":
         m = builtin_mixture()
     elif isinstance(cfg["mixture"], dict):
@@ -159,6 +162,8 @@ def cmd_kr(config: dict, out, seed: int) -> int:
     d = rho0.d
     if cfg["points"] is not None:
         X = np.atleast_2d(np.asarray(cfg["points"], dtype=float))
+    elif int(cfg["grid"]) < 1:
+        raise ValueError(f"grid must be >= 1; got {cfg['grid']}")
     else:
         X = grid_points([np.linspace(0.0, 1.0, int(cfg["grid"]))] * d)
     Y = phi(X)

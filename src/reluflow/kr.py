@@ -22,8 +22,9 @@ Evaluation is vectorized over points, in batches of at most
 ``_CHUNK_ROWS``.
 
 A GridDensity is also the density resolver of the package: calling it
-evaluates its multilinear interpolant, zero outside [0, 1]^d, with the same
-cell rule (``_cell``) that locates the prefixes of the conditional slices.
+evaluates its multilinear interpolant, zero outside [0, 1]^d.  It and the
+conditional slices share one corner walk (``_corners``) and one blend
+(``_blend``), and every uniform cell comes from ``numerics.uniform_cell``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from reluflow.numerics import grid_points, solve_increasing, trapezoid_all
+from reluflow.numerics import (
+    grid_points,
+    solve_increasing,
+    trapezoid_all,
+    uniform_cell,
+)
 
 # width of the bracket in which the isotopy inverse is solved
 ISOTOPY_TOL = 1e-10
@@ -59,10 +65,35 @@ def _cell(nodes: np.ndarray, x: np.ndarray) -> tuple:
     x is.  At a node the fraction is exactly 0 or 1.  A NaN x gets the last
     cell and a NaN fraction."""
     last = len(nodes) - 2
-    # fmin/fmax send NaN to a cell, so no NaN is cast to an index
-    i = np.fmax(np.fmin(np.floor(x * (last + 1)), last), 0).astype(np.intp)
+    i = uniform_cell(x, 0.0, last + 1, last)
     left = nodes[i]
     return i, (x - left) / (nodes[i + 1] - left)
+
+
+def _corners(axes: tuple, X: np.ndarray) -> tuple:
+    """The cells of the rows of X (n, j) on the tensor grid of the node
+    arrays ``axes``: the C-order flat index of each row's first corner, the
+    flat offsets of a cell's 2^j corners from it, and per axis the blend
+    weights (1 - f, f) of the row's fraction f (``_cell``)."""
+    index, offsets, weights = np.zeros(len(X), dtype=np.intp), [0], []
+    for nodes, x in zip(axes, X.T):
+        i, f = _cell(nodes, x)
+        index = index * len(nodes) + i
+        offsets = [o * len(nodes) + c for o in offsets for c in (0, 1)]
+        weights.append((1.0 - f, f))
+    return index, offsets, weights
+
+
+def _blend(values: np.ndarray, index: np.ndarray, offsets: list,
+           weights: list) -> np.ndarray:
+    """Each point's multilinear blend of the corner entries values.flat[index
+    + o], o in ``offsets``, one axis at a time, the last axis first."""
+    flat = values.reshape(-1)
+    corners = [flat[o:].take(index) for o in offsets]
+    for w0, w1 in reversed(weights):
+        corners = [lo * w0 + hi * w1
+                   for lo, hi in zip(corners[::2], corners[1::2])]
+    return corners[0]
 
 
 @dataclass(frozen=True)
@@ -90,29 +121,17 @@ class GridDensity:
     def __call__(self, X) -> np.ndarray:
         """The multilinear interpolant at the rows of X (n, d).
 
-        Zero outside [0, 1]^d and NaN on a row holding NaN.  Each axis gives
-        one cell index and a pair of weights, and the 2^d corner values of
-        the cell are blended one axis at a time, the last axis first.
+        Zero outside [0, 1]^d and NaN on a row holding NaN: the 2^d corner
+        values of each row's cell (``_corners``) are blended (``_blend``).
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.ndim != 2 or X.shape[1] != self.d:
             raise ValueError(f"points must have shape (n, {self.d}); got "
                              f"{X.shape}")
-        flat = self.values.ravel()
-        base, inside, weights, offsets = 0, True, [], [0]
-        for nodes, x in zip(self.nodes, X.T):
-            xc = np.clip(x, 0.0, 1.0)
-            inside = inside & (xc == x)        # False on NaN as well
-            i, f = _cell(nodes, xc)
-            base = base * len(nodes) + i
-            weights.append((1.0 - f, f))
-            offsets = [o * len(nodes) + c for o in offsets for c in (0, 1)]
-        corners = [flat[base + o] for o in offsets]
-        for w0, w1 in reversed(weights):
-            corners = [lo * w0 + hi * w1
-                       for lo, hi in zip(corners[::2], corners[1::2])]
+        Xc = np.clip(X, 0.0, 1.0)
+        inside = np.all(Xc == X, axis=1)       # False on NaN as well
         # exactly 0 outside; NaN * 0 keeps a NaN row NaN
-        return corners[0] * inside
+        return _blend(self.values, *_corners(self.nodes, Xc)) * inside
 
     def integral(self) -> float:
         return float(trapezoid_all(self.values))
@@ -168,72 +187,53 @@ class _SliceTable:
         with multilinear weights; a prefix outside [0, 1] extrapolates the
         boundary cell linearly.
         """
-        rows = np.zeros((len(prefix), 1), dtype=np.intp)
-        weights = np.ones((len(prefix), 1))
-        for j, nodes in enumerate(self.lead):
-            i, f = _cell(nodes, prefix[:, j])
-            f = f[:, None]
-            rows = rows * len(nodes) + i[:, None]
-            rows = np.concatenate([rows, rows + 1], axis=1)
-            weights = np.concatenate([weights * (1.0 - f), weights * f],
-                                     axis=1)
-        return _ConditionalCDF(self, rows, weights)
+        return _ConditionalCDF(self, *_corners(self.lead, prefix))
 
 
 class _ConditionalCDF:
     """Batched normalized CDFs of piecewise-linear densities on shared nodes.
 
-    Point p's density slice is sum_c weights[p, c] * table.dens[rows[p, c]].
-    Its CDF is exact (trapezoid of the endpoint values, partial piece up to
-    t via the interpolated density at t), so F is piecewise quadratic in t,
-    with its knots in the same blend of ``table.cum``.  Piece i spans
+    Point p's density slice blends (``_blend``) the ``table.dens`` rows at
+    the corners of its prefix's cell (``_corners``).  Its CDF is exact
+    (trapezoid of the endpoint values, partial piece up to t via the
+    interpolated density at t), so F is piecewise quadratic in t, with its
+    knots in the same blend of ``table.cum``.  Piece i spans
     [nodes[i], nodes[i + 1]]; the last node starts an empty piece, so that
     t = 1 and F = 1 meet on a knot exactly.
     """
 
-    def __init__(self, table: _SliceTable, rows: np.ndarray,
-                 weights: np.ndarray):
-        self.table, self.rows, self.weights = table, rows, weights
-        # each corner row's offset in the flattened tables, per point for
-        # _blend and, with the weights, per corner for _cum_entry
-        self._starts = rows * len(table.nodes)
-        self._corner_starts = self._starts.T.copy()
-        self._corner_weights = weights.T.copy()
-        self.total = self._blend(table.cum, len(table.nodes) - 1)
+    def __init__(self, table: _SliceTable, index: np.ndarray, offsets: list,
+                 weights: list):
+        m = len(table.nodes)
+        self.table, self._weights = table, weights
+        # flat starts of each point's first corner row, and of the others
+        self._start, self._offsets = index * m, [o * m for o in offsets]
+        self.total = self.entry(table.cum, m - 1)
         if np.any(self.total <= 0):
             raise DensityDegeneracyError("conditional slice has zero mass")
 
-    def _blend(self, values: np.ndarray, col) -> np.ndarray:
+    def entry(self, values: np.ndarray, col) -> np.ndarray:
         """Entry ``col`` (one per point, or shared) of each point's slice of
-        the table ``values``."""
-        entries = values.take(self._starts + np.asarray(col)[..., None])
-        return np.einsum("pc,pc->p", self.weights, entries)
-
-    def _cum_entry(self, col) -> np.ndarray:
-        """Entry ``col`` (one per point, or shared) of each point's blended
-        cumulative row, summed over the corners in order: ``_blend``'s
-        einsum may pair four or more corners otherwise, and the order fixes
-        the rounding of the inverse."""
-        entries = self.table.cum.take(self._corner_starts + col)
-        out = np.zeros(entries.shape[1])
-        for weight, entry in zip(self._corner_weights, entries):
-            out += weight * entry
-        return out
+        the table ``values`` (``table.dens`` or ``table.cum``)."""
+        return _blend(values, self._start + col, self._offsets,
+                      self._weights)
 
     def _piece(self, i: np.ndarray) -> tuple:
         """Left density and density slope of piece i, per point."""
         last = len(self.table.nodes) - 1
-        d0 = self._blend(self.table.dens, i)
-        d1 = self._blend(self.table.dens, np.minimum(i + 1, last))
+        d0 = self.entry(self.table.dens, i)
+        d1 = self.entry(self.table.dens, np.minimum(i + 1, last))
         return d0, (d1 - d0) / self.table.widths[np.minimum(i, last - 1)]
 
     def eval(self, t: np.ndarray) -> np.ndarray:
         t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-        i = np.searchsorted(self.table.nodes, t, side="right") - 1
+        nodes = self.table.nodes
+        # floor(t (m - 1)), so t = 1 opens the empty last piece
+        i = uniform_cell(t, 0.0, len(nodes) - 1, len(nodes) - 1)
         d0, slope = self._piece(i)
-        frac = t - self.table.nodes[i]
+        frac = t - nodes[i]
         dens_t = d0 + slope * frac
-        partial = self._blend(self.table.cum, i) + frac * (d0 + dens_t) / 2.0
+        partial = self.entry(self.table.cum, i) + frac * (d0 + dens_t) / 2.0
         return partial / self.total
 
     def invert(self, targets: np.ndarray) -> np.ndarray:
@@ -249,24 +249,24 @@ class _ConditionalCDF:
         targets = np.asarray(targets, dtype=float)
         if np.any(targets < -1e-12) or np.any(targets > 1 + 1e-12):
             raise DensityDegeneracyError("CDF target outside [0, 1]")
-        nodes, entry = self.table.nodes, self._cum_entry
+        nodes, cum = self.table.nodes, self.table.cum
         last = len(nodes) - 1
-        mass = targets * entry(last)
+        mass = targets * self.total
         # i = how many of the blended cumulative entries 1 ... last are <=
         # mass, by bisection over the increasing row: the first probe leaves
         # 2^p - 1 candidates above i, and halving steps never pass ``last``
         span = (1 << (last.bit_length() - 1)) - 1
-        i = np.where(entry(last - span) <= mass, last - span, 0)
+        i = np.where(self.entry(cum, last - span) <= mass, last - span, 0)
         step = (span + 1) >> 1
         while step:
-            np.add(i, step, out=i, where=entry(i + step) <= mass)
+            np.add(i, step, out=i, where=self.entry(cum, i + step) <= mass)
             step >>= 1
         d0, slope = self._piece(i)
-        r = mass - entry(i)
+        r = mass - self.entry(cum, i)
         # the stable root: no cancellation for either sign of the slope
         f = 2.0 * r / (d0 + np.sqrt(np.maximum(d0 * d0 + 2.0 * slope * r,
                                                 0.0)))
-        right = nodes[np.minimum(i + 1, len(nodes) - 1)]
+        right = nodes[np.minimum(i + 1, last)]
         return nodes[i] + np.clip(f, 0.0, right - nodes[i])
 
 
@@ -289,26 +289,15 @@ class KRMap:
             raise ValueError("densities must share a dimension")
         self.rho0.check_normalized()
         self.rho1.check_normalized()
-        # read-only slice tables of every marginal, source and target
-        for name, rho in (("_tables0", self.rho0), ("_tables1", self.rho1)):
-            object.__setattr__(self, name, tuple(
-                _SliceTable(marginal(rho, k)) for k in range(1, rho.d + 1)))
+        # read-only slice tables of every marginal: (source, target) pairs
+        object.__setattr__(self, "_tables", tuple(
+            (_SliceTable(marginal(self.rho0, k)),
+             _SliceTable(marginal(self.rho1, k)))
+            for k in range(1, self.d + 1)))
 
     @property
     def d(self) -> int:
         return self.rho0.d
-
-    def _component_cdfs(self, k: int, x_prefix: np.ndarray,
-                        phi_prefix: np.ndarray) -> tuple:
-        """Source and target conditional CDFs of coordinate k, one row per
-        point, given the leading coordinates and their images."""
-        return (self._tables0[k - 1].at(x_prefix),
-                self._tables1[k - 1].at(phi_prefix))
-
-    def _component_batch(self, k: int, x_k: np.ndarray, x_prefix: np.ndarray,
-                         phi_prefix: np.ndarray) -> np.ndarray:
-        F0, F1 = self._component_cdfs(k, x_prefix, phi_prefix)
-        return F1.invert(F0.eval(x_k))
 
     def __call__(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -318,10 +307,12 @@ class KRMap:
         phi = np.empty_like(X)
         for start in range(0, X.shape[0], _CHUNK_ROWS):
             x, out = X[start:start + _CHUNK_ROWS], phi[start:start + _CHUNK_ROWS]
-            for k in range(1, self.d + 1):
-                out[:, k - 1] = self._component_batch(
-                    k, x[:, k - 1], x[:, :k - 1], out[:, :k - 1])
+            # source CDFs at the leading coordinates, target at their images
+            for k, (T0, T1) in enumerate(self._tables):
+                F0, F1 = T0.at(x[:, :k]), T1.at(out[:, :k])
+                out[:, k] = F1.invert(F0.eval(x[:, k]))
         return phi
+
 
 def _isotopy_inverse(phi: KRMap, t: float, X: np.ndarray) -> np.ndarray:
     """Solve (1-t) y + t phi(y) = x coordinate by coordinate (triangular).
@@ -335,14 +326,13 @@ def _isotopy_inverse(phi: KRMap, t: float, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.empty_like(X)
     Phi_prefix = np.empty_like(X)
-    for k in range(1, phi.d + 1):
-        F0, F1 = phi._component_cdfs(k, Y[:, :k - 1], Phi_prefix[:, :k - 1])
+    for k, (T0, T1) in enumerate(phi._tables):
+        F0, F1 = T0.at(Y[:, :k]), T1.at(Phi_prefix[:, :k])
 
         def phi_t(y):
             return (1.0 - t) * y + t * F1.invert(F0.eval(y))
-        Y[:, k - 1] = solve_increasing(phi_t, X[:, k - 1], 0.0, 1.0,
-                                       ISOTOPY_TOL)
-        Phi_prefix[:, k - 1] = F1.invert(F0.eval(Y[:, k - 1]))
+        Y[:, k] = solve_increasing(phi_t, X[:, k], 0.0, 1.0, ISOTOPY_TOL)
+        Phi_prefix[:, k] = F1.invert(F0.eval(Y[:, k]))
     return Y
 
 

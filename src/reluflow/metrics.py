@@ -36,6 +36,8 @@ def lp_map_error(f, g, domain: RectDomain, p: float, resolution: int) -> float:
     """(int_Omega |f - g|^p)^{1/p} by midpoint quadrature on cell centers."""
     if p < 1:
         raise ValueError("p must be >= 1")
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1; got {resolution}")
     X, vol = _cell_centers(domain, resolution)
     diff = np.atleast_2d(np.asarray(f(X), float)) - np.atleast_2d(
         np.asarray(g(X), float))
@@ -125,6 +127,8 @@ def oscillation_counterexample(alpha: float, h: float,
         raise ValueError("need 0 < alpha < 1/(2 pi) for injectivity")
     if not 0 < h < 1:
         raise ValueError("need 0 < h < 1")
+    if resolution < 2:
+        raise ValueError(f"need resolution >= 2; got {resolution}")
     x = np.linspace(0.0, 1.0, resolution)
     integrand = 2.0 * np.pi * alpha * np.abs(np.cos(2.0 * np.pi * x / h))
     tv = float(np.trapezoid(integrand, x))
@@ -142,6 +146,8 @@ def rounding_counterexample(h: float, refine: int = 8) -> float:
     """
     if h <= 0:
         raise ValueError("h must be positive")
+    if refine < 1:
+        raise ValueError(f"refine must be >= 1; got {refine}")
     n_cells = max(int(round(1.0 / h)), 1)
     n_bins = n_cells * refine
     edges = np.linspace(0.0, 1.0, n_bins + 1)

@@ -1,10 +1,10 @@
 """Numerical primitives shared by both routes.
 
 Monotone inversion by bracketed false position, the RK4 reference
-integrator with its divergence, the single-neuron field, and tensor grids
-on [0, 1]^d with trapezoid quadrature.  Each is written once here so that
-every caller performs the same floating-point operations in the same
-order.
+integrator with its divergence, the single-neuron field, uniform cells,
+and tensor grids on [0, 1]^d with trapezoid quadrature.  Each is written
+once here so that every caller performs the same floating-point
+operations in the same order.
 """
 
 from __future__ import annotations
@@ -95,6 +95,8 @@ def rk4(field, X: np.ndarray, q: np.ndarray, duration, step: float):
     spent stands still while the others go on.  The step sizes are formed
     once, and again only after some row's steps run out.  Returns (X, q).
     """
+    if not step > 0:
+        raise ValueError(f"step must be positive; got {step}")
     n = np.maximum(np.ceil(np.divide(duration, step)).astype(int), 1)
     start = 0
     for stop in sorted(set(np.ravel(n).tolist())):
@@ -110,6 +112,17 @@ def rk4(field, X: np.ndarray, q: np.ndarray, duration, step: float):
             q = q + q_sixth * (q1 + 2 * q2 + 2 * q3 + q4)
         start = stop
     return X, q
+
+
+def uniform_cell(x: np.ndarray, origin: float, scale: float,
+                 top: int) -> np.ndarray:
+    """floor((x - origin) * scale) clamped to [0, top], for x of at least
+    one dimension: monotone in x, and NaN goes to ``top``."""
+    v = x - origin
+    v *= scale
+    np.fmin(v, top, out=v)
+    np.fmax(v, 0.0, out=v)
+    return v.astype(np.intp)
 
 
 def grid_points(axes) -> np.ndarray:

@@ -268,8 +268,6 @@ def realize_target(target: TargetMap, epsilon: float = 0.1,
     if not all(np.isfinite(h) and h > 0 for h in (mesh_h, cube_h)):
         raise ValueError(f"mesh_h and cube_h must be finite and > 0; got "
                          f"mesh_h = {mesh_h}, cube_h = {cube_h}")
-    if resolution < 1:
-        raise ValueError(f"resolution must be >= 1; got {resolution}")
 
     if target.profile is not None:
         start = time.perf_counter()

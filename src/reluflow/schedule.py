@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from reluflow.numerics import neuron_field, rk4
+from reluflow.numerics import neuron_field, rk4, uniform_cell
 
 # exp overflow guard: segments never need s*tau beyond this at working scale
 _EXP_ARG_MAX = 700.0
@@ -316,17 +316,17 @@ class PiecewiseLinear:
         ``np.searchsorted(knots, x, side="right")``, with NaN past every knot.
 
         The knots and x share one monotone map to uniform buckets over
-        [knots[0], knots[-1]] (``_bucket``), so a knot in an earlier bucket
-        than x's is <= x and one in a later bucket is > x.  x's piece is
-        the number of knots before its bucket, read from a table built on
-        first use, plus the knots <= x inside the bucket, counted by a
-        bisection of as many steps as the fullest bucket needs.
+        [knots[0], knots[-1]] (``numerics.uniform_cell``), so a knot in an
+        earlier bucket than x's is <= x and one in a later bucket is > x.
+        x's piece is the number of knots before its bucket, read from a
+        table built on first use, plus the knots <= x inside the bucket,
+        counted by a bisection of as many steps as the fullest bucket needs.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
             return self.piece(x[None])[0]
         origin, scale, top, first, steps, padded = self._buckets
-        i = first.take(_bucket(x, origin, scale, top))
+        i = first.take(uniform_cell(x, origin, scale, top))
         for step in steps:
             # padded[step - 1:][i] is knot i + step - 1, or +inf past the end
             np.add(i, step, out=i, where=~(padded[step - 1:].take(i) > x))
@@ -346,7 +346,7 @@ class PiecewiseLinear:
             scale = (top + 1) / (knots[-1] - origin)
         if not 0.0 < scale < np.inf:     # one knot, or an extreme span
             scale = 1.0
-        counts = np.bincount(_bucket(knots, origin, scale, top),
+        counts = np.bincount(uniform_cell(knots, origin, scale, top),
                              minlength=top + 1)
         first = np.zeros(top + 1, dtype=np.intp)
         np.cumsum(counts[:-1], out=first[1:])
@@ -369,17 +369,6 @@ class PiecewiseLinear:
         ok = all(np.all(np.isfinite(p)) for p in parts)
         ok = ok and bool(np.all(np.diff(self.knots) > 0))
         return ok and (not increasing or bool(np.all(self.slopes > 0)))
-
-
-def _bucket(x: np.ndarray, origin: float, scale: float,
-            top: int) -> np.ndarray:
-    """floor((x - origin) * scale) clamped to [0, top], for x of at least
-    one dimension: monotone in x, and NaN goes to ``top``."""
-    v = x - origin
-    v *= scale
-    np.fmin(v, top, out=v)
-    np.fmax(v, 0.0, out=v)
-    return v.astype(np.intp)
 
 
 def _kinked(kinks: np.ndarray, left: float, jumps: np.ndarray) -> tuple:
@@ -758,8 +747,6 @@ def invert_schedule(schedule: ControlSchedule) -> ControlSchedule:
 
 def oracle_points(X: np.ndarray, schedule: ControlSchedule, step: float):
     """RK4 integration of the ODE and of d(logdet)/dt = div v, batched."""
-    if step <= 0:
-        raise ValueError("step must be positive")
     X = np.atleast_2d(np.asarray(X, dtype=float)).copy()
     logdet = np.zeros(X.shape[0])
     for w, a, b, duration in zip(schedule.w, schedule.a, schedule.b,

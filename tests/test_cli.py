@@ -297,6 +297,32 @@ class TestBadInputs:
                           {**sizes, "resolution": 16})
         assert "mesh_h and cube_h must be finite and > 0" in err
 
+    @pytest.mark.parametrize("verb,config,problem", [
+        ("evaluate", {"resolution": 0}, "resolution must be >= 1; got 0"),
+        ("evaluate", {"resolution": -3}, "resolution must be >= 1; got -3"),
+        ("realize", {"target": "identity", "resolution": 0},
+         "resolution must be >= 1; got 0"),
+        ("maurey", {"step": 0}, "step must be positive; got 0.0"),
+        ("maurey", {"step": -1}, "step must be positive; got -1.0"),
+        ("maurey", {"n_seeds": 0}, "n_seeds must be >= 1; got 0"),
+        ("maurey", {"n_eval": 0}, "n_eval must be >= 1; got 0"),
+        ("counterexample", {"kind": "rounding", "refine": 0},
+         "refine must be >= 1; got 0"),
+        ("counterexample", {"kind": "oscillation", "resolution": 1},
+         "need resolution >= 2; got 1"),
+        ("kr", {"grid": 0}, "grid must be >= 1; got 0"),
+    ], ids=["evaluate-resolution-0", "evaluate-resolution-negative",
+            "realize-resolution-0", "maurey-step-0", "maurey-step-negative",
+            "maurey-n-seeds-0", "maurey-n-eval-0", "rounding-refine-0",
+            "oscillation-resolution-1", "kr-grid-0"])
+    def test_refused_sizes(self, tmp_path, capsys, verb, config, problem):
+        if verb == "evaluate":
+            config = {**config, "schedule": {"segments": [
+                {"w": [1.0, 0.0], "a": [0.0, 1.0], "b": 0.0,
+                 "duration": 0.5}]}}
+        err = run_failing(tmp_path, capsys, verb, config)
+        assert problem in err
+
     @pytest.mark.parametrize("params,key", [
         ({"matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}, '"matrix"'),
         ({"matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": [0.0, 0.0, 0.0]},

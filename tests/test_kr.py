@@ -144,12 +144,18 @@ def cdfs_of_slices(dens, repeats):
     return table, table.at(np.repeat(table.lead[0], repeats)[:, None])
 
 
+def blended_rows(F, values):
+    """Every entry of each point's slice of the table ``values``, as an
+    (n, nodes) array formed by the CDFs' own blend."""
+    return F.entry(values, np.arange(len(F.table.nodes))[:, None]).T
+
+
 def counted_inverse(F, targets):
     """F.invert by the count of blended cumulative entries <= the mass,
     with the whole (n, nodes) blended rows formed: the reference for the
     bisection.  Also returns whether each row is non-decreasing."""
     nodes = F.table.nodes
-    cum = np.einsum("pc,pcm->pm", F.weights, F.table.cum[F.rows])
+    cum = blended_rows(F, F.table.cum)
     mass = targets * cum[:, -1]
     i = np.maximum(np.count_nonzero(cum <= mass[:, None], axis=1) - 1, 0)
     d0, slope = F._piece(i)
@@ -226,7 +232,7 @@ class TestClosedFormInverse:
         table, F = cdfs_of_slices(dens, 1)
         widths = np.diff(np.linspace(0, 1, dens.shape[1]))
         cum = np.cumsum(widths * (dens[:, :-1] + dens[:, 1:]) / 2, axis=1)
-        rows = np.einsum("pc,pcm->pm", F.weights, table.cum[F.rows])
+        rows = blended_rows(F, table.cum)
         np.testing.assert_array_equal(rows[:, 1:], cum)
 
 
@@ -252,11 +258,11 @@ class TestSliceTable:
                               np.tile(t, len(prefix))[:, None]], axis=1)
         expected = interp(pts).reshape(len(prefix), len(t))
         F = table.at(prefix)
-        blended = np.einsum("pc,pcm->pm", F.weights, table.dens[F.rows])
+        blended = blended_rows(F, table.dens)
         np.testing.assert_allclose(blended, expected, rtol=1e-13)
         cum = np.cumsum(np.diff(t) * (expected[:, :-1] + expected[:, 1:]) / 2,
                         axis=1)
-        rows = np.einsum("pc,pcm->pm", F.weights, table.cum[F.rows])
+        rows = blended_rows(F, table.cum)
         np.testing.assert_allclose(rows[:, 1:], cum, rtol=1e-13)
         np.testing.assert_allclose(F.total, cum[:, -1], rtol=1e-13)
 

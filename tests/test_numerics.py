@@ -164,6 +164,12 @@ class TestRK4:
                      0.37, 6e-3)
         np.testing.assert_array_equal(X[0], one[0])
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.nan])
+    def test_step_must_be_positive(self, step):
+        with pytest.raises(ValueError, match="step must be positive"):
+            rk4(lambda X: (X, np.ones(X.shape[0])), np.ones((2, 2)),
+                np.zeros(2), 1.0, step)
+
 
 class TestNeuronField:
     def test_per_row_neurons(self):
