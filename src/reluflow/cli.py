@@ -120,6 +120,16 @@ def cmd_maurey(config: dict, out, seed: int) -> int:
     for key in ("n_seeds", "n_eval"):
         if int(cfg[key]) < 1:
             raise ValueError(f"{key} must be >= 1; got {cfg[key]}")
+    # checked here, before the reference flow and the sampled schedules
+    # that rate_fit (four N at least) would otherwise refuse only at the end
+    Ns, frac = cfg["N"], cfg["eval_radius_frac"]
+    if not (isinstance(Ns, list) and len(Ns) >= 4
+            and all(type(N) is int and N >= 1 for N in Ns)):
+        raise ValueError("N must be a list of at least 4 integers >= 1; "
+                         f"got {Ns!r}")
+    if not (type(frac) in (int, float) and 0 < frac < np.inf):
+        raise ValueError("eval_radius_frac must be finite and > 0; "
+                         f"got {frac!r}")
     if cfg["mixture"] == "builtin":
         m = builtin_mixture()
     elif isinstance(cfg["mixture"], dict):
@@ -128,22 +138,22 @@ def cmd_maurey(config: dict, out, seed: int) -> int:
         raise ValueError("mixture must be \"builtin\" or a mixture object; "
                          f"got {cfg['mixture']!r}")
     rng = np.random.default_rng(seed)
-    radius = m.R * float(cfg["eval_radius_frac"])
+    radius = m.R * float(frac)
     pts = rng.uniform(-radius / np.sqrt(m.d), radius / np.sqrt(m.d),
                       size=(int(cfg["n_eval"]), m.d))
     reference = reference_flow(m, pts, step=float(cfg["step"]))
     rows = []
     means_e, means_d = [], []
-    for N in cfg["N"]:
+    for N in Ns:
         es, ds = [], []
         for s in range(int(cfg["n_seeds"])):
-            run = sample_schedule(m, int(N), seed + s)
+            run = sample_schedule(m, N, seed + s)
             e, d = run_errors(run, m, pts, reference=reference)
-            rows.append((int(N), seed + s, e, d))
+            rows.append((N, seed + s, e, d))
             es.append(e)
             ds.append(d)
-        means_e.append((int(N), float(np.mean(es))))
-        means_d.append((int(N), float(np.mean(ds))))
+        means_e.append((N, float(np.mean(es))))
+        means_d.append((N, float(np.mean(ds))))
     slope_e = rate_fit(means_e)
     slope_d = rate_fit(means_d)
     rows.append(("slope_e", "", slope_e, ""))

@@ -30,7 +30,10 @@ one slope per piece), the package's one form of a 1-d piecewise-linear map,
 which finds each point's piece in a bucket table built on first use.
 Both runs are fused in difference form: their slopes (log-slopes for a
 profile run) accumulate the jump at each kink and their values follow from
-one anchor by a cumulative sum, so no large products cancel.  Other
+one anchor by a cumulative sum, so no large products cancel.  A profile
+run's kinks are pulled back through its segments in stretches of segments
+whose active sides hold every later kink or none, each one affine map;
+only a segment with later kinks on both sides pulls them one by one.  Other
 segments, short runs and segments past the exp overflow guard stay on the
 per-segment loop, in order.  There, consecutive segments with equal
 (a, w, b), as a sampled schedule repeats them, are one autonomous field,
@@ -443,28 +446,64 @@ class ProfileRun:
 
         Segment i scales its active side about its kink c_i by e^{arg_i}; its
         knot u_i is c_i pulled back through the segments before it, all in
-        one backward sweep.  Crossing u_i changes the log-slope by
-        sign(alpha_i) arg_i, and g(u_last) = c_last anchors the values.
+        one backward sweep that carries the smallest and largest later knot.
+        A stretch of segments whose active sides hold every later knot or
+        none moves them by affine maps, settled at once in difference form
+        (knot j sits (c_j - c_{j-1}) e^{-sum arg} past knot j - 1); only a
+        segment with later knots on both sides pulls them one by one.
+        Crossing u_i changes the log-slope by sign(alpha_i) arg_i, and
+        g(u_last) = c_last anchors the values.
         """
         c = -b / alpha
-        u, moved = c.copy(), np.empty_like(c)
+        u, moved, e = c.copy(), np.empty_like(c), np.exp(-arg)
+        every = np.zeros(len(c), dtype=bool)    # moves every later knot
+
+        def settle(k: int, top: int) -> None:
+            # segments k ... top - 1: knots k + 1 ... top as displacements
+            # from their kinks, the later ones by the stretch's affine map
+            exps = -np.cumsum(arg[k:top] * every[k:top])
+            np.cumsum(np.diff(c[k:top + 1]) * np.expm1(exps),
+                      out=u[k + 1:top + 1])
+            u[k + 1:top + 1] += c[k + 1:top + 1]
+            u[top + 1:] = (u[top + 1:] - c[top]) * np.exp(exps[-1]) + u[top]
+
         # a segment raises what it moves iff it dilates above c_i or
         # contracts below it; its inverse then lowers them
         pulls = [np.minimum if lower else np.maximum
                  for lower in ((alpha > 0) == (arg > 0)).tolist()]
+        lo = hi = float(c[-1])
+        top, moving = len(c) - 1, False    # the stretch's end, if it moves
         # exp(arg) is within the overflow guard, but knots and slopes may
         # over- or underflow; well_formed rejects such a run
         with np.errstate(all="ignore"):
-            for i, ci, ei, pull in zip(range(len(c) - 2, -1, -1),
-                                       c[-2::-1].tolist(),
-                                       np.exp(-arg[-2::-1]).tolist(),
-                                       pulls[-2::-1]):
-                # c + (y - c) e, not y e + c (1 - e): a kink on c stays on c
-                later, out = u[i + 1:], moved[i + 1:]
-                np.subtract(later, ci, out=out)
-                out *= ei
-                out += ci
-                pull(later, out, out=later)
+            for i, ci, ei, up, pull in zip(range(len(c) - 2, -1, -1),
+                                           c[-2::-1].tolist(),
+                                           e[-2::-1].tolist(),
+                                           (alpha[-2::-1] > 0).tolist(),
+                                           pulls[-2::-1]):
+                if lo < ci < hi:    # later knots on both sides
+                    if moving:
+                        settle(i + 1, top)
+                    top, moving = i, False
+                    # c + (y - c) e, not y e + c (1 - e): a kink on c stays
+                    # on c; 0-d arrays are faster operands than floats
+                    later, out, c0 = u[i + 1:], moved[i + 1:], c[i, ...]
+                    np.subtract(later, c0, out=out)
+                    out *= e[i, ...]
+                    out += c0
+                    pull(later, out, out=later)
+                elif hi > ci if up else lo < ci:    # every later knot
+                    every[i] = moving = True
+                # the active extreme moves and c_i joins the later knots (a
+                # conditional expression costs less here than min or max)
+                if up:
+                    lo = lo if lo < ci else ci
+                    hi = ci + (hi - ci) * ei if hi > ci else ci
+                else:
+                    lo = ci + (lo - ci) * ei if lo < ci else ci
+                    hi = hi if hi > ci else ci
+            if moving:
+                settle(0, top)
             knots, kink, logdets = _kinked(u, float(arg[alpha < 0].sum()),
                                            np.sign(alpha) * arg)
             slopes = np.exp(logdets)

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reluflow import cli
 from reluflow.cli import main
 from reluflow.maurey import builtin_mixture
 from reluflow.schedule import ControlSchedule
@@ -321,6 +322,23 @@ class TestBadInputs:
                 {"w": [1.0, 0.0], "a": [0.0, 1.0], "b": 0.0,
                  "duration": 0.5}]}}
         err = run_failing(tmp_path, capsys, verb, config)
+        assert problem in err
+
+    @pytest.mark.parametrize("config,problem", [
+        ({"eval_radius_frac": -1},
+         "eval_radius_frac must be finite and > 0; got -1"),
+        ({"N": [16]}, "N must be a list of at least 4 integers >= 1; got [16]"),
+        ({"N": "abc"},
+         "N must be a list of at least 4 integers >= 1; got 'abc'"),
+    ], ids=["negative-radius", "one-N", "string-N"])
+    def test_refused_rate_study(self, tmp_path, capsys, monkeypatch, config,
+                                problem):
+        # refused before the reference flow, the study's first computation
+        def reference_flow(*args, **kwargs):
+            raise AssertionError("the reference flow ran")
+
+        monkeypatch.setattr(cli, "reference_flow", reference_flow)
+        err = run_failing(tmp_path, capsys, "maurey", config)
         assert problem in err
 
     @pytest.mark.parametrize("params,key", [
