@@ -3,10 +3,9 @@
 Verbs: realize (target map -> schedule + error report), maurey (sampling
 rate study), kr (triangular transport tables), counterexample (pushforward
 TV counterexamples), simulate (trajectory streaming), evaluate (schedule
-vs target metrics).  One JSON config per run; defaults are echoed into the
-report so identical config + seed reproduce byte-identical outputs.  A bad
-config, schedule file or target ends the run with a one-line
-``reluflow: error: ...`` on stderr and exit code 2.
+vs target metrics).  Each reads one JSON config through its key table and
+echoes it, so identical config + seed give identical bytes; a bad config,
+schedule file or target exits 2 with one ``reluflow: error:`` stderr line.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ from reluflow.metrics import (
 )
 from reluflow.numerics import grid_points
 from reluflow.pipeline import map_errors, realize_target
-from reluflow.schedule import ControlSchedule, FlowOverflowError, flow_points
+from reluflow.schedule import (ControlSchedule, FlowOverflowError,
+                               flow_points, json_key)
 from reluflow.targets import density_from_spec, get_target
 
 
@@ -67,12 +67,18 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _config_echo(defaults: dict, config: dict, seed: int) -> dict:
-    unknown = sorted(set(config) - set(defaults))
+def _config(spec: dict, config: dict, seed: int = None) -> dict:
+    """``config`` over ``spec``'s defaults ({key: (default, kind)}) and the
+    seed, each value of ``json_key``'s kind (or null if the default is)."""
+    unknown = sorted(set(config) - set(spec))
     if unknown:
         raise ValueError(f"unknown config key(s) {unknown}; accepted: "
-                         f"{sorted(defaults)}")
-    return {**defaults, **config, "seed": seed}
+                         f"{sorted(spec)}")
+    cfg = {key: default for key, (default, _) in spec.items()}
+    for key, value in config.items():
+        if value is not None or cfg[key] is not None:
+            cfg[key] = json_key(config, key, "config", spec[key][1])
+    return {**cfg, **({} if seed is None else {"seed": seed})}
 
 
 def _load_schedule(spec) -> ControlSchedule:
@@ -85,19 +91,16 @@ def _load_schedule(spec) -> ControlSchedule:
 
 # --------------------------------------------------------------------------
 def cmd_realize(config: dict, out, seed: int) -> int:
-    defaults = {
-        "target": "sine-shear", "target_params": {}, "epsilon": 0.1,
-        "mesh_h": 0.125, "cube_h": None, "p": 2.0, "resolution": 128,
-        "schedule_out": None,
-    }
     # the construction is deterministic: no seed to echo
-    cfg = _config_echo(defaults, config, seed)
-    del cfg["seed"]
+    cfg = _config({"target": ("sine-shear", None), "target_params": ({}, None),
+                   "epsilon": (0.1, "number"), "mesh_h": (0.125, "number"),
+                   "cube_h": (None, "number"), "p": (2.0, "number"),
+                   "resolution": (128, "integer"),
+                   "schedule_out": (None, None)}, config)
     target = get_target(cfg["target"], cfg["target_params"])
     result = realize_target(
-        target, epsilon=float(cfg["epsilon"]), mesh_h=float(cfg["mesh_h"]),
-        cube_h=None if cfg["cube_h"] is None else float(cfg["cube_h"]),
-        p=float(cfg["p"]), resolution=int(cfg["resolution"]))
+        target, epsilon=cfg["epsilon"], mesh_h=cfg["mesh_h"],
+        cube_h=cfg["cube_h"], p=cfg["p"], resolution=cfg["resolution"])
     cfg["cube_h"] = result.cube_h
     sched_path = cfg["schedule_out"]
     if sched_path is None:
@@ -112,13 +115,12 @@ def cmd_realize(config: dict, out, seed: int) -> int:
 
 
 def cmd_maurey(config: dict, out, seed: int) -> int:
-    defaults = {
-        "mixture": "builtin", "N": [16, 32, 64, 128, 256, 512],
-        "n_seeds": 20, "n_eval": 64, "step": 1e-3, "eval_radius_frac": 0.5,
-    }
-    cfg = _config_echo(defaults, config, seed)
+    cfg = _config({"mixture": ("builtin", None), "n_seeds": (20, "integer"),
+                   "N": ([16, 32, 64, 128, 256, 512], None),
+                   "n_eval": (64, "integer"), "step": (1e-3, "number"),
+                   "eval_radius_frac": (0.5, "number")}, config, seed)
     for key in ("n_seeds", "n_eval"):
-        if int(cfg[key]) < 1:
+        if cfg[key] < 1:
             raise ValueError(f"{key} must be >= 1; got {cfg[key]}")
     # checked here, before the reference flow and the sampled schedules
     # that rate_fit (four N at least) would otherwise refuse only at the end
@@ -127,7 +129,7 @@ def cmd_maurey(config: dict, out, seed: int) -> int:
             and all(type(N) is int and N >= 1 for N in Ns)):
         raise ValueError("N must be a list of at least 4 integers >= 1; "
                          f"got {Ns!r}")
-    if not (type(frac) in (int, float) and 0 < frac < np.inf):
+    if not 0 < frac < np.inf:
         raise ValueError("eval_radius_frac must be finite and > 0; "
                          f"got {frac!r}")
     if cfg["mixture"] == "builtin":
@@ -138,15 +140,15 @@ def cmd_maurey(config: dict, out, seed: int) -> int:
         raise ValueError("mixture must be \"builtin\" or a mixture object; "
                          f"got {cfg['mixture']!r}")
     rng = np.random.default_rng(seed)
-    radius = m.R * float(frac)
+    radius = m.R * frac
     pts = rng.uniform(-radius / np.sqrt(m.d), radius / np.sqrt(m.d),
-                      size=(int(cfg["n_eval"]), m.d))
+                      size=(cfg["n_eval"], m.d))
     reference = reference_flow(m, pts, step=float(cfg["step"]))
     rows = []
     means_e, means_d = [], []
     for N in Ns:
         es, ds = [], []
-        for s in range(int(cfg["n_seeds"])):
+        for s in range(cfg["n_seeds"]):
             run = sample_schedule(m, N, seed + s)
             e, d = run_errors(run, m, pts, reference=reference)
             rows.append((N, seed + s, e, d))
@@ -163,19 +165,19 @@ def cmd_maurey(config: dict, out, seed: int) -> int:
 
 
 def cmd_kr(config: dict, out, seed: int) -> int:
-    defaults = {"rho0": "uniform", "rho1": "tilted", "shape": [65, 65],
-                "grid": 9, "points": None}
-    cfg = _config_echo(defaults, config, seed)
+    cfg = _config({"rho0": ("uniform", None), "rho1": ("tilted", None),
+                   "shape": ([65, 65], "vector"), "grid": (9, "integer"),
+                   "points": (None, None)}, config, seed)
     rho0 = density_from_spec(cfg["rho0"], cfg["shape"])
     rho1 = density_from_spec(cfg["rho1"], cfg["shape"])
     phi = KRMap(rho0, rho1)
     d = rho0.d
     if cfg["points"] is not None:
         X = np.atleast_2d(np.asarray(cfg["points"], dtype=float))
-    elif int(cfg["grid"]) < 1:
+    elif cfg["grid"] < 1:
         raise ValueError(f"grid must be >= 1; got {cfg['grid']}")
     else:
-        X = grid_points([np.linspace(0.0, 1.0, int(cfg["grid"]))] * d)
+        X = grid_points([np.linspace(0.0, 1.0, cfg["grid"])] * d)
     Y = phi(X)
     header = tuple(f"x{k}" for k in range(d)) + tuple(
         f"phi{k}" for k in range(d))
@@ -185,20 +187,19 @@ def cmd_kr(config: dict, out, seed: int) -> int:
 
 
 def cmd_counterexample(config: dict, out, seed: int) -> int:
-    defaults = {"kind": "oscillation", "alpha": 0.1, "h": 1.0 / 64,
-                "refine": 8, "resolution": 200001}
-    cfg = _config_echo(defaults, config, seed)
+    cfg = _config({"kind": ("oscillation", None), "alpha": (0.1, "number"),
+                   "h": (1.0 / 64, "number"), "refine": (8, "integer"),
+                   "resolution": (200001, "integer")}, config, seed)
     rows = []
     if cfg["kind"] == "oscillation":
-        sup, tv = oscillation_counterexample(
-            float(cfg["alpha"]), float(cfg["h"]),
-            resolution=int(cfg["resolution"]))
-        params = f"alpha={_fmt(float(cfg['alpha']))};h={_fmt(float(cfg['h']))}"
+        sup, tv = oscillation_counterexample(cfg["alpha"], cfg["h"],
+                                             resolution=cfg["resolution"])
+        params = f"alpha={_fmt(cfg['alpha'])};h={_fmt(cfg['h'])}"
         rows.append(("sup_displacement", params, sup))
         rows.append(("pushforward_tv", params, tv))
     elif cfg["kind"] == "rounding":
-        tv = rounding_counterexample(float(cfg["h"]), refine=int(cfg["refine"]))
-        params = f"h={_fmt(float(cfg['h']))};refine={int(cfg['refine'])}"
+        tv = rounding_counterexample(cfg["h"], refine=cfg["refine"])
+        params = f"h={_fmt(cfg['h'])};refine={cfg['refine']}"
         rows.append(("histogram_tv", params, tv))
     else:
         raise ValueError(f"unknown counterexample kind {cfg['kind']!r}")
@@ -207,13 +208,13 @@ def cmd_counterexample(config: dict, out, seed: int) -> int:
 
 
 def cmd_simulate(config: dict, out, seed: int) -> int:
-    defaults = {"schedule": None, "points": [[0.0]], "substeps": 4}
-    cfg = _config_echo(defaults, config, seed)
+    cfg = _config({"schedule": (None, None), "points": ([[0.0]], None),
+                   "substeps": (4, "integer")}, config, seed)
     if cfg["schedule"] is None:
         raise ValueError("simulate requires a 'schedule' (path or object)")
-    k = int(cfg["substeps"])
+    k = cfg["substeps"]
     if k < 1:
-        raise ValueError(f"substeps must be >= 1; got {cfg['substeps']}")
+        raise ValueError(f"substeps must be >= 1; got {k}")
     sched = _load_schedule(cfg["schedule"])
     X = np.atleast_2d(np.asarray(cfg["points"], dtype=float))
     n, d = X.shape
@@ -241,15 +242,14 @@ def cmd_simulate(config: dict, out, seed: int) -> int:
 
 
 def cmd_evaluate(config: dict, out, seed: int) -> int:
-    defaults = {"schedule": None, "target": "identity", "target_params": {},
-                "p": 2.0, "resolution": 128}
-    cfg = _config_echo(defaults, config, seed)
+    cfg = _config({"schedule": (None, None), "target": ("identity", None),
+                   "target_params": ({}, None), "p": (2.0, "number"),
+                   "resolution": (128, "integer")}, config, seed)
     if cfg["schedule"] is None:
         raise ValueError("evaluate requires a 'schedule' (path or object)")
     sched = _load_schedule(cfg["schedule"])
     target = get_target(cfg["target"], cfg["target_params"])
-    lp, tv = map_errors(target, sched, float(cfg["p"]),
-                        int(cfg["resolution"]))
+    lp, tv = map_errors(target, sched, cfg["p"], cfg["resolution"])
     rows = [("lp_error", lp), ("tv_error", tv),
             ("n_segments", len(sched)), ("switch_count", sched.switch_count),
             ("total_duration", sched.total_duration)]

@@ -292,10 +292,9 @@ def fit_mixture(times, points, U, R: float, dictionary_size: int, seed: int,
     return TimeMixture(grid, a, w, b, mass, R), worst
 
 
-def builtin_mixture(d: int = 2, R: float = 3.0) -> TimeMixture:
-    """Three-atom time-varying mixture on the unit ball used by rate studies."""
-    if d != 2:
-        raise ValueError("builtin mixture is two-dimensional")
+def builtin_mixture() -> TimeMixture:
+    """Three-atom time-varying 2-D mixture on the ball of radius 3, used by
+    rate studies."""
     s = 1.0 / np.sqrt(2.0)
     a = [[1.0, 0.0], [0.0, 1.0], [s, s]]
     w = [[0.0, 0.8], [0.7, 0.0], [-0.4, -0.4]]
@@ -304,4 +303,4 @@ def builtin_mixture(d: int = 2, R: float = 3.0) -> TimeMixture:
             [0.2, 0.5, 0.2],
             [0.3, 0.2, 0.5],
             [0.4, 0.4, 0.2]]
-    return TimeMixture([0.0, 0.25, 0.5, 0.75, 1.0], a, w, b, mass, R)
+    return TimeMixture([0.0, 0.25, 0.5, 0.75, 1.0], a, w, b, mass, 3.0)

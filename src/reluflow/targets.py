@@ -6,6 +6,7 @@ available, an analytic inverse and log|det Dphi| (for exact pushforwards).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,9 +93,28 @@ _DEFAULT_AFFINE_C = np.array([0.02, 0.05])
 _DEFAULT_PROFILE = slope_profile([0.0, 0.4, 1.0], [0.5, 4.0 / 3.0], 0.0)
 
 
+# the catalog: each target and the ``params`` keys it takes
+_TARGET_PARAMS = {
+    "identity": (), "affine": ("matrix", "offset"), "sine-shear": (),
+    "radial-compress": (), "sine-radial": (), "profile1d": ("profile", "d"),
+    "kr": ("rho0", "rho1"),
+}
+CATALOG = tuple(_TARGET_PARAMS)
+
+
 def get_target(name: str, params: dict = None) -> TargetMap:
-    """Look up a catalog target; ``params`` overrides target-specific knobs."""
-    params = dict(params or {})
+    """Look up a catalog target; ``params`` (a config's ``target_params``)
+    overrides target-specific knobs, and must hold only keys it takes."""
+    if name not in CATALOG:
+        raise KeyError(f"unknown target {name!r}; catalog: "
+                       f"{', '.join(CATALOG)}")
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise ValueError(f"target_params must be an object; got {params!r}")
+    unknown = sorted(set(params) - set(_TARGET_PARAMS[name]))
+    if unknown:
+        raise ValueError(f"{name} target: unknown target_params key(s) "
+                         f"{unknown}; accepted: {list(_TARGET_PARAMS[name])}")
     if name == "identity":
         return TargetMap(name, lambda X: np.atleast_2d(np.asarray(X, float)),
                          UNIT_SQUARE,
@@ -141,7 +161,7 @@ def get_target(name: str, params: dict = None) -> TargetMap:
                                                   ("slopes", "vector"),
                                                   ("beta0", "number"))))
                 if isinstance(prof, dict) else prof or _DEFAULT_PROFILE)
-        d = int(params.get("d", 2))
+        d = json_key({"d": 2, **params}, "d", "profile1d target", "integer")
         lower = [prof.knots[0]] + [0.0] * (d - 1)
         upper = [prof.knots[-1]] + [1.0] * (d - 1)
 
@@ -157,18 +177,17 @@ def get_target(name: str, params: dict = None) -> TargetMap:
                          logdet=lambda X, Y=None: profile_logdet(
                              prof, np.atleast_2d(X)[:, 0]),
                          profile=prof)
-    if name == "kr":
-        rho0 = density_from_spec(params.get("rho0", "uniform"))
-        rho1 = density_from_spec(params.get("rho1", "tilted"))
-        fwd = KRMap(rho0, rho1)
-        back = KRMap(rho1, rho0)
-        # exact for the discrete KR map: its conditional-CDF ratios telescope
-        # to rho0(x) / rho1(phi(x)) of the multilinear density interpolants
-        cube = RectDomain([0.0] * fwd.d, [1.0] * fwd.d)
-        return TargetMap(name, fwd, cube, inverse=back,
-                         logdet=lambda X, Y=None: np.log(rho0(X))
-                         - np.log(rho1(fwd(X) if Y is None else Y)))
-    raise KeyError(f"unknown target {name!r}; catalog: {', '.join(CATALOG)}")
+    # name == "kr"
+    rho0 = density_from_spec(params.get("rho0", "uniform"))
+    rho1 = density_from_spec(params.get("rho1", "tilted"))
+    fwd = KRMap(rho0, rho1)
+    back = KRMap(rho1, rho0)
+    # exact for the discrete KR map: its conditional-CDF ratios telescope
+    # to rho0(x) / rho1(phi(x)) of the multilinear density interpolants
+    cube = RectDomain([0.0] * fwd.d, [1.0] * fwd.d)
+    return TargetMap(name, fwd, cube, inverse=back,
+                     logdet=lambda X, Y=None: np.log(rho0(X))
+                     - np.log(rho1(fwd(X) if Y is None else Y)))
 
 
 def density_from_spec(spec, shape=(65, 65)) -> GridDensity:
@@ -183,7 +202,10 @@ def density_from_spec(spec, shape=(65, 65)) -> GridDensity:
     if isinstance(spec, dict):
         return GridDensity(np.asarray(json_key(spec, "values", "density"),
                                       dtype=float))
-    shape = tuple(int(n) for n in shape)
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+               for n in shape):
+        raise ValueError(f"density shape must hold integers; got {shape!r}")
+    shape = tuple(shape)
     if spec == "uniform":
         return GridDensity.uniform(shape)
     if spec == "2x":
@@ -204,7 +226,3 @@ def density_from_spec(spec, shape=(65, 65)) -> GridDensity:
                 -8 * np.sum((X - 0.5) ** 2, axis=1)), shape)
     raise KeyError(f"unknown density {spec!r}; catalog: uniform, tilted, "
                    "product, bump, 2x")
-
-
-CATALOG = ("identity", "affine", "sine-shear", "radial-compress",
-           "sine-radial", "profile1d", "kr")

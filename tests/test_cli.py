@@ -213,6 +213,36 @@ class TestEvaluateCommand:
             if not line.startswith("#") and not line.startswith("metric"))
         assert float(metrics["lp_error"]) <= 1e-9
 
+    def test_integer_p_runs_and_is_echoed(self, tmp_path):
+        sched = {"segments": [{"w": [1.0, 0.0], "a": [0.0, 1.0], "b": 0.0,
+                               "duration": 0.5}]}
+        tables = []
+        for p in (2, 2.0):
+            code, text = run(tmp_path, "evaluate", {
+                "schedule": sched, "target": "sine-shear", "p": p,
+                "resolution": 16})
+            assert code == 0
+            config_line, *table = text.splitlines()
+            echoed = json.loads(config_line[len("# config "):])["p"]
+            assert echoed == p and type(echoed) is type(p)
+            tables.append(table)
+        assert tables[0] == tables[1]
+
+
+# each verb's integer and number config keys, and the values each refuses
+CONFIG_KINDS = {
+    "realize": {"resolution": "an integer", "epsilon": "a number",
+                "mesh_h": "a number", "cube_h": "a number", "p": "a number"},
+    "maurey": {"n_seeds": "an integer", "n_eval": "an integer",
+               "step": "a number", "eval_radius_frac": "a number"},
+    "kr": {"grid": "an integer"},
+    "counterexample": {"refine": "an integer", "resolution": "an integer",
+                       "alpha": "a number", "h": "a number"},
+    "simulate": {"substeps": "an integer"},
+    "evaluate": {"resolution": "an integer", "p": "a number"},
+}
+WRONG_VALUES = {"an integer": (2.5, "16", True), "a number": ("x", True)}
+
 
 def run_failing(tmp_path, capsys, verb, config):
     """Run a verb that must fail: exit code 2, one line on stderr."""
@@ -479,6 +509,37 @@ class TestBadInputs:
             "realize-density-values"])
     def test_config_object_names_its_field(self, tmp_path, capsys, verb,
                                            config, problem):
+        err = run_failing(tmp_path, capsys, verb, config)
+        assert problem in err
+
+    @pytest.mark.parametrize("verb,config,problem", [
+        *(pytest.param(verb, {key: value}, f'config: "{key}" must be {what}',
+                       id=f"{verb}-{key}-{type(value).__name__}")
+          for verb, kinds in CONFIG_KINDS.items()
+          for key, what in kinds.items() for value in WRONG_VALUES[what]),
+        pytest.param("maurey", {"n_seeds": "abc"},
+                     'config: "n_seeds" must be an integer', id="n-seeds-abc"),
+        pytest.param("realize", {"target": "affine", "target_params": 5},
+                     "target_params must be an object; got 5",
+                     id="target-params-number"),
+        pytest.param("realize", {"target": "affine", "target_params": {
+            "matrx": [[2, 0], [0, 1]]}},
+                     "affine target: unknown target_params key(s) ['matrx']; "
+                     "accepted: ['matrix', 'offset']", id="affine-matrx"),
+        pytest.param("realize", {"target": "sine-radial",
+                                 "target_params": {"beta": 0.5}},
+                     "sine-radial target: unknown target_params key(s) "
+                     "['beta']; accepted: []", id="sine-radial-beta"),
+        pytest.param("realize", {"target": "profile1d",
+                                 "target_params": {"d": 2.5}},
+                     'profile1d target: "d" must be an integer',
+                     id="profile1d-d-float"),
+        pytest.param("kr", {"shape": [9.5, 9]},
+                     "density shape must hold integers; got [9.5, 9]",
+                     id="kr-shape-float"),
+    ])
+    def test_refused_config_value(self, tmp_path, capsys, verb, config,
+                                  problem):
         err = run_failing(tmp_path, capsys, verb, config)
         assert problem in err
 
