@@ -96,7 +96,7 @@ def cmd_realize(config: dict, out, seed: int) -> int:
                    "epsilon": (0.1, "number"), "mesh_h": (0.125, "number"),
                    "cube_h": (None, "number"), "p": (2.0, "number"),
                    "resolution": (128, "integer"),
-                   "schedule_out": (None, None)}, config)
+                   "schedule_out": (None, "string")}, config)
     target = get_target(cfg["target"], cfg["target_params"])
     result = realize_target(
         target, epsilon=cfg["epsilon"], mesh_h=cfg["mesh_h"],
@@ -167,7 +167,7 @@ def cmd_maurey(config: dict, out, seed: int) -> int:
 def cmd_kr(config: dict, out, seed: int) -> int:
     cfg = _config({"rho0": ("uniform", None), "rho1": ("tilted", None),
                    "shape": ([65, 65], "vector"), "grid": (9, "integer"),
-                   "points": (None, None)}, config, seed)
+                   "points": (None, "matrix")}, config, seed)
     rho0 = density_from_spec(cfg["rho0"], cfg["shape"])
     rho1 = density_from_spec(cfg["rho1"], cfg["shape"])
     phi = KRMap(rho0, rho1)
@@ -208,7 +208,7 @@ def cmd_counterexample(config: dict, out, seed: int) -> int:
 
 
 def cmd_simulate(config: dict, out, seed: int) -> int:
-    cfg = _config({"schedule": (None, None), "points": ([[0.0]], None),
+    cfg = _config({"schedule": (None, None), "points": ([[0.0]], "matrix"),
                    "substeps": (4, "integer")}, config, seed)
     if cfg["schedule"] is None:
         raise ValueError("simulate requires a 'schedule' (path or object)")

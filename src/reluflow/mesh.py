@@ -1,8 +1,9 @@
-"""Rectangular domains, uniform Kuhn triangulations, Lagrange interpolation.
+"""Uniform Kuhn triangulations and Lagrange interpolation.
 
-A box is cut into a uniform grid of cells and each cell into d! Kuhn
-(Freudenthal) simplices: the simplex of a permutation pi consists of the
-points whose local cell coordinates satisfy t_{pi(0)} >= ... >= t_{pi(d-1)}.
+A box (``numerics.RectDomain``) is cut into a uniform grid of cells and
+each cell into d! Kuhn (Freudenthal) simplices: the simplex of a
+permutation pi consists of the points whose local cell coordinates satisfy
+t_{pi(0)} >= ... >= t_{pi(d-1)}.
 This triangulation is face-compatible across cells, and point location is a
 closed-form operation (cell index + the rank of the argsort of the local
 coordinates).
@@ -24,42 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from reluflow.numerics import grid_points
-
-
-@dataclass(frozen=True)
-class RectDomain:
-    """Axis-aligned box { lower <= x <= upper }."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
-        object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
-        if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
-            raise ValueError("lower/upper must be 1-d vectors of equal length")
-        if not np.all(self.lower < self.upper):
-            raise ValueError("lower must be strictly below upper componentwise")
-
-    @property
-    def d(self) -> int:
-        return self.lower.shape[0]
-
-    @property
-    def sides(self) -> np.ndarray:
-        return self.upper - self.lower
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.sides))
-
-    def contains(self, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-        X = np.atleast_2d(X)
-        return np.all((X >= self.lower - tol) & (X <= self.upper + tol), axis=1)
-
-    def sample(self, rng, n: int) -> np.ndarray:
-        return rng.uniform(self.lower, self.upper, size=(n, self.d))
+from reluflow.numerics import RectDomain, grid_points
 
 
 def simplex_edges(V: np.ndarray) -> np.ndarray:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from reluflow.kr import GridDensity
-from reluflow.mesh import RectDomain
 from reluflow.numerics import grid_points, trapezoid_all
 from reluflow.schedule import ControlSchedule, flow_points, invert_schedule
 

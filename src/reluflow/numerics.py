@@ -2,12 +2,14 @@
 
 Monotone inversion by bracketed false position, the RK4 reference
 integrator with its divergence, the single-neuron field, uniform cells,
-and tensor grids on [0, 1]^d with trapezoid quadrature.  Each is written
-once here so that every caller performs the same floating-point
-operations in the same order.
+tensor grids on [0, 1]^d with trapezoid quadrature, and axis-aligned boxes
+(``RectDomain``).  Each is written once here so that every caller performs
+the same floating-point operations in the same order.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,3 +144,38 @@ def trapezoid_all(v: np.ndarray, axes=None):
     for axis in sorted(range(v.ndim) if axes is None else axes, reverse=True):
         v = np.trapezoid(v, np.linspace(0, 1, v.shape[axis]), axis=axis)
     return v
+
+
+@dataclass(frozen=True)
+class RectDomain:
+    """Axis-aligned box { lower <= x <= upper }."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
+        object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
+        if self.lower.shape != self.upper.shape or self.lower.ndim != 1:
+            raise ValueError("lower/upper must be 1-d vectors of equal length")
+        if not np.all(self.lower < self.upper):
+            raise ValueError("lower must be strictly below upper componentwise")
+
+    @property
+    def d(self) -> int:
+        return self.lower.shape[0]
+
+    @property
+    def sides(self) -> np.ndarray:
+        return self.upper - self.lower
+
+    @property
+    def volume(self) -> float:
+        return float(np.prod(self.sides))
+
+    def contains(self, X: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+        X = np.atleast_2d(X)
+        return np.all((X >= self.lower - tol) & (X <= self.upper + tol), axis=1)
+
+    def sample(self, rng, n: int) -> np.ndarray:
+        return rng.uniform(self.lower, self.upper, size=(n, self.d))

@@ -40,7 +40,6 @@ import numpy as np
 
 from reluflow.compressible import profile_schedule
 from reluflow.gadgets import lift
-from reluflow.mesh import RectDomain
 from reluflow.metrics import _cell_centers, lp_map_error, pushforward_values
 from reluflow.numerics import grid_points, solve_increasing
 from reluflow.schedule import (ControlSchedule, PiecewiseLinear, flow_points,

@@ -18,32 +18,32 @@ checked once, at construction (``from_arrays``, or ``from_dict`` for the
 JSON form), and are the only representation of a schedule; ``segments``
 remains as a tuple of Segment rows for readers of durations.
 
-``flow_segments`` applies the closed forms one segment at a time; it is
-the reference kernel that the tests compare the compiled form with.
 ``flow_points`` runs a schedule's compiled form (``compile_schedule``,
-cached on the schedule): a maximal run of axis-aligned segments (a = a_k
-e_k, w = w_l e_l) acts on one coordinate at a time and is fused into one
-exact piecewise-linear map.  A shear run (k != l, s = 0) adds f(x_k) to
-x_l; a profile run (k = l) maps x_k monotonically, with a piecewise-constant
-log-det.  Both hold their map as a ``PiecewiseLinear`` (knots, values and
-one slope per piece), the package's one form of a 1-d piecewise-linear map,
-which finds each point's piece in a bucket table built on first use.
-Both runs are fused in difference form: their slopes (log-slopes for a
-profile run) accumulate the jump at each kink and their values follow from
-one anchor by a cumulative sum, so no large products cancel.  A profile
-run's kinks are pulled back through its segments in stretches of segments
-whose active sides hold every later kink or none, each one affine map;
-only a segment with later kinks on both sides pulls them one by one.  Other
-segments, short runs and segments past the exp overflow guard stay on the
-per-segment loop, in order.  There, consecutive segments with equal
-(a, w, b), as a sampled schedule repeats them, are one autonomous field,
-whose flow is a one-parameter group: they merge into one loop entry held
-for their summed duration, unless that entry's exponent would pass the
-guard.  Each entry's displacement scale * w is premultiplied once, so a
-loop step is a handful of numpy calls on the whole batch.
-``flow_segments`` runs the same loop with nothing fused or merged.  The
-kernels agree up to rounding; at a kink, where the log-det is undefined,
-they may take opposite one-sided values.
+cached on the schedule): steps of three kinds, each with
+``apply(X, logdet)`` and ``inverse()``.  A maximal run of axis-aligned
+segments (a = a_k e_k, w = w_l e_l) is fused into one exact
+piecewise-linear map.  A ``ShearRun`` (k != l, s = 0) adds f(x_k) to
+x_l; a ``ProfileRun`` (k = l) maps x_k monotonically, with a
+piecewise-constant log-det.  Both hold their map as a ``PiecewiseLinear``
+(knots, values and one slope per piece), the package's one form of a 1-d
+piecewise-linear map, which finds each point's piece in a bucket table
+built on first use.  Both runs are fused in
+difference form: their slopes (log-slopes for a profile run) accumulate the
+jump at each kink and their values follow from one anchor by a cumulative
+sum, so no large products cancel.  A profile run's kinks are pulled back
+through its segments in stretches of segments whose active sides hold every
+later kink or none, each one affine map; only a segment with later kinks on
+both sides pulls them one by one.  Other segments, short runs and segments
+past the exp overflow guard stay, in order, on a ``LoopRun`` of per-segment
+closed forms.  There, consecutive segments with equal (a, w, b), as a
+sampled schedule repeats them, are one autonomous field, whose flow is a
+one-parameter group: they merge into one entry held for their summed
+duration, unless that entry's exponent would pass the guard.  Each entry's
+displacement scale * w is premultiplied once, so an entry is a handful of
+numpy calls on the whole batch.  The reference kernel ``flow_segments`` is
+one ``LoopRun`` with nothing fused or merged.  The kernels agree up to
+rounding; at a kink, where the log-det is undefined, they may take opposite
+one-sided values.
 
 All flow operations are vectorized over arrays of points with shape (N, d);
 a single point x is the batch x[None].
@@ -82,21 +82,27 @@ def _is_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, (bool, np.bool_))
 
 
+def _is_vector(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_is_number, v))
+
+
 # the JSON value kinds that ``json_key`` checks: (description, test)
 _JSON_KINDS = {
     "integer": ("an integer",
                 lambda v: isinstance(v, numbers.Integral) and _is_number(v)),
     "number": ("a number", _is_number),
-    "vector": ("a 1-d list of numbers",
-               lambda v: isinstance(v, (list, tuple))
-               and all(map(_is_number, v))),
+    "vector": ("a 1-d list of numbers", _is_vector),
+    "matrix": ("a list of equal-length lists of numbers",
+               lambda v: isinstance(v, list) and all(map(_is_vector, v))
+               and len(set(map(len, v))) <= 1),
+    "string": ("a string", lambda v: isinstance(v, str)),
 }
 
 
 def json_key(data: dict, key: str, where: str, kind: str = None):
-    """``data[key]``, checked to be present and, for ``kind`` "integer",
-    "number" or "vector", to be an integer, a number or a 1-d list of
-    numbers; the ValueError names ``where`` and the key."""
+    """``data[key]``, checked to be present and, for a ``kind`` of
+    ``_JSON_KINDS``, to be a value of that kind; the ValueError names
+    ``where`` and the key."""
     if key not in data:
         raise ValueError(f"{where}: missing key {key!r}")
     if kind is not None:
@@ -532,20 +538,17 @@ def _rates(a: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CompiledSchedule:
-    """A schedule as steps: fused runs and index arrays of loop entries.
+class LoopRun:
+    """Loop entries, applied one at a time by the closed form.
 
-    A step is a ShearRun, a ProfileRun or an index array of loop entries
-    that ``flow`` applies one at a time.  A loop entry is one live segment,
-    or a group of consecutive live loop segments with equal (a, w, b)
-    merged into one held for their summed duration: the group is one
-    autonomous field, whose flow is a one-parameter group.  Per entry it
-    keeps a, w, b, the duration, a schedule row of the entry (named by the
-    overflow error) and, computed once from the divergence rate s = a.w,
-    the exponent arg = s * duration, the displacement factor
-    scale = expm1(arg) / s (the duration when s = 0) and the premultiplied
-    displacement shift = scale * w.  It keeps no reference to the schedule
-    itself, so caching it there makes no cycle.
+    An entry is one live segment, or consecutive live segments with equal
+    (a, w, b) merged into one held for their summed duration (one
+    autonomous field, whose flow is a one-parameter group).  Per entry it
+    keeps a, w, b, the duration and a schedule row, named by the overflow
+    error (``last``, the schedule's last row, renumbers the rows for the
+    reversed schedule), and computes once from s = a.w the exponent
+    arg = s * duration, the displacement factor scale = expm1(arg) / s (the
+    duration when s = 0) and the displacement shift = scale * w.
     """
 
     rows: np.ndarray
@@ -553,76 +556,77 @@ class CompiledSchedule:
     w: np.ndarray
     b: np.ndarray
     duration: np.ndarray
-    arg: np.ndarray
-    scale: np.ndarray
-    shift: np.ndarray
-    steps: tuple
+    last: int
 
-    @classmethod
-    def of_entries(cls, rows, a, w, b, duration, steps) -> "CompiledSchedule":
-        """The compiled form whose loop entry i drives (w[i], a[i], b[i])
-        for duration[i] and comes from schedule row rows[i]."""
-        s = _rates(a, w)
-        arg = s * duration
+    def __post_init__(self):
+        s = _rates(self.a, self.w)
+        arg = s * self.duration
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # entries past the overflow guard never reach their scale
             scale = np.where(s != 0.0,
                              np.expm1(np.minimum(arg, _EXP_ARG_MAX)) / s,
-                             duration)
-            shift = scale[:, None] * w
-        return cls(rows, a, w, b, duration, arg, scale, shift, steps)
+                             self.duration)
+            shift = scale[:, None] * self.w
+        for name, value in (("arg", arg), ("scale", scale), ("shift", shift)):
+            object.__setattr__(self, name, value)
 
     @classmethod
-    def build(cls, schedule: "ControlSchedule") -> "CompiledSchedule":
-        """Compile ``schedule``: fuse its long axis-aligned runs and merge
-        the repeated segments left on the loop (``_merge_repeats``)."""
-        s = _rates(schedule.a, schedule.w)
-        steps = _fuse_runs(schedule, s * schedule.duration)
-        loops = [step for step in steps if isinstance(step, np.ndarray)]
-        rows, duration, entries = _merge_repeats(schedule, s, loops)
-        entries = iter(entries)
-        steps = tuple(next(entries) if isinstance(step, np.ndarray) else step
-                      for step in steps)
-        return cls.of_entries(rows, schedule.a[rows], schedule.w[rows],
-                              schedule.b[rows], duration, steps)
+    def of_rows(cls, schedule: "ControlSchedule", rows: np.ndarray,
+                duration: np.ndarray) -> "LoopRun":
+        """The entries driving the neuron of schedule row rows[i] for
+        duration[i]."""
+        return cls(rows, schedule.a[rows], schedule.w[rows], schedule.b[rows],
+                   duration, len(schedule) - 1)
 
-    def flow(self, X: np.ndarray, logdet: np.ndarray) -> None:
-        """Apply the steps in order to X and logdet, in place.
-
-        Loop entries use the closed form of the module docstring.  An
-        active point on an entry whose exponent exceeds the overflow guard
-        raises FlowOverflowError.
-        """
+    def apply(self, X: np.ndarray, logdet: np.ndarray) -> None:
+        """An active point on an entry whose exponent exceeds the overflow
+        guard raises FlowOverflowError."""
         a, w = self.a, self.w
         # X.T has contiguous rows when X is in Fortran order (see _start)
         XT, shift = X.T, self.shift[:, :, None]
         rows, b, arg = self.rows.tolist(), self.b.tolist(), self.arg.tolist()
         scale = self.scale.tolist()
         finite = np.isfinite(self.shift).all(axis=1).tolist()
-        for step in self.steps:
-            if not isinstance(step, np.ndarray):
-                step.apply(X, logdet)
+        for i in range(len(rows)):
+            z = X.dot(a[i])
+            z += b[i]
+            if arg[i] > _EXP_ARG_MAX:
+                if (z > 0.0).any():
+                    raise FlowOverflowError(
+                        f"segment {rows[i]}: exp argument s*duration = "
+                        f"{arg[i]:.3g} too large")
                 continue
-            for i in step.tolist():
-                z = X.dot(a[i])
-                z += b[i]
-                if arg[i] > _EXP_ARG_MAX:
-                    if (z > 0.0).any():
-                        raise FlowOverflowError(
-                            f"segment {rows[i]}: exp argument s*duration = "
-                            f"{arg[i]:.3g} too large")
-                    continue
-                if finite[i]:
-                    np.maximum(z, 0.0, out=z)    # z > 0 still marks the active
-                    XT += shift[i] * z
-                else:
-                    # np.where, not relu(z) * shift: 0 * inf would put NaN
-                    # on inactive rows
-                    with np.errstate(invalid="ignore"):
-                        moved = np.where(z > 0.0, z * scale[i], 0.0)
-                    X += moved[:, None] * w[i]
-                if arg[i] != 0.0:
-                    np.add(logdet, arg[i], out=logdet, where=z > 0.0)
+            if finite[i]:
+                np.maximum(z, 0.0, out=z)    # z > 0 still marks the active
+                XT += shift[i] * z
+            else:
+                # np.where, not relu(z) * shift: 0 * inf would put NaN on
+                # inactive rows
+                with np.errstate(invalid="ignore"):
+                    moved = np.where(z > 0.0, z * scale[i], 0.0)
+                X += moved[:, None] * w[i]
+            if arg[i] != 0.0:
+                np.add(logdet, arg[i], out=logdet, where=z > 0.0)
+
+    def inverse(self) -> "LoopRun":
+        """The entries reversed, each outer weight negated, with their
+        merged durations."""
+        return LoopRun(self.last - self.rows[::-1], self.a[::-1],
+                       -self.w[::-1], self.b[::-1], self.duration[::-1],
+                       self.last)
+
+
+@dataclass(frozen=True)
+class CompiledSchedule:
+    """A schedule as steps, each a ShearRun, ProfileRun or LoopRun; it keeps
+    no reference to the schedule, so caching it there makes no cycle."""
+
+    steps: tuple
+
+    def flow(self, X: np.ndarray, logdet: np.ndarray) -> None:
+        """Apply the steps in order to X and logdet, in place."""
+        for step in self.steps:
+            step.apply(X, logdet)
 
 
 def _live(schedule: "ControlSchedule") -> np.ndarray:
@@ -631,19 +635,22 @@ def _live(schedule: "ControlSchedule") -> np.ndarray:
                           & schedule.w.any(axis=1))
 
 
-def _fuse_runs(schedule: "ControlSchedule", arg: np.ndarray) -> tuple:
+def _fuse_runs(schedule: "ControlSchedule") -> tuple:
     """Split the live segments into maximal axis-aligned runs and fuse the
-    long ones; everything else stays on the per-segment loop, in order."""
+    long ones; everything else stays on the per-segment loop, in order,
+    with its repeats merged (``_merge_repeats``)."""
     ids = _live(schedule)
     if len(ids) == 0:
         return ()
     a, w, b = schedule.a, schedule.w, schedule.b
+    s = _rates(a, w)
+    arg = s * schedule.duration
     d = a.shape[1]
     a_axes, w_axes = a[ids] != 0.0, w[ids] != 0.0
     aligned = ((a_axes.sum(axis=1) == 1) & (w_axes.sum(axis=1) == 1)
                & (np.abs(arg[ids]) <= _EXP_ARG_MAX))
     if np.count_nonzero(aligned) < MIN_FUSED_RUN:    # no run can fuse
-        return (ids,)
+        return (_merge_repeats(schedule, s, ids),)
     key = np.where(aligned, a_axes.argmax(axis=1) * d + w_axes.argmax(axis=1),
                    -1)
     cuts = np.flatnonzero(np.diff(key)) + 1
@@ -665,34 +672,28 @@ def _fuse_runs(schedule: "ControlSchedule", arg: np.ndarray) -> tuple:
         if not (run.well_formed() and run.inverse().well_formed()):
             continue
         if done < lo:
-            steps.append(ids[done:lo])
+            steps.append(_merge_repeats(schedule, s, ids[done:lo]))
         steps.append(run)
         done = hi
     if done < len(ids):
-        steps.append(ids[done:])
+        steps.append(_merge_repeats(schedule, s, ids[done:]))
     return tuple(steps)
 
 
 def _merge_repeats(schedule: "ControlSchedule", s: np.ndarray,
-                   loops: list) -> tuple:
-    """The loop entries of ``loops``, the index arrays of loop segments in
-    step order: each entry's first segment, its summed duration, and for
-    each index array the indices of its entries.
+                   ids: np.ndarray) -> LoopRun:
+    """The loop over the segments ``ids``, whose divergence rates are
+    ``s[ids]``, with repeats merged.
 
-    An entry is a maximal group of consecutive segments of one index array
-    with equal (a, w, b).  A group whose merged exponent |s| * (summed
-    duration) passes the overflow guard stays segment by segment, so that
-    no point overflows that did not before.
+    An entry is a maximal group of consecutive segments with equal
+    (a, w, b), held for their summed duration.  A group whose merged
+    exponent |s| * (summed duration) passes the overflow guard stays
+    segment by segment, so that no point overflows that did not before.
     """
-    if not loops:
-        return np.zeros(0, dtype=int), np.zeros(0), []
-    ids = np.concatenate(loops)
     fields = np.concatenate([schedule.a[ids], schedule.w[ids],
                              schedule.b[ids, None]], axis=1)
-    ends = np.cumsum([len(step) for step in loops])
     first = np.ones(len(ids), dtype=bool)
     first[1:] = (fields[1:] != fields[:-1]).any(axis=1)
-    first[ends[:-1]] = True
     starts = np.flatnonzero(first)
     duration = np.add.reduceat(schedule.duration[ids], starts)
     too_long = np.abs(s[ids[starts]] * duration) > _EXP_ARG_MAX
@@ -700,8 +701,7 @@ def _merge_repeats(schedule: "ControlSchedule", s: np.ndarray,
         first |= np.repeat(too_long, np.diff(starts, append=len(ids)))
         starts = np.flatnonzero(first)
         duration = np.add.reduceat(schedule.duration[ids], starts)
-    bounds = np.searchsorted(starts, np.concatenate([[0], ends])).tolist()
-    return ids[starts], duration, list(map(np.arange, bounds, bounds[1:]))
+    return LoopRun.of_rows(schedule, ids[starts], duration)
 
 
 def compile_schedule(schedule: "ControlSchedule") -> CompiledSchedule:
@@ -709,12 +709,12 @@ def compile_schedule(schedule: "ControlSchedule") -> CompiledSchedule:
 
     Maximal runs of at least MIN_FUSED_RUN axis-aligned segments (a = a_k
     e_k, w = w_l e_l, |s tau| within the overflow guard) become one exact
-    piecewise-linear map each; other segments keep the per-segment kernel,
+    piecewise-linear map each; the other segments stay on LoopRun steps,
     where consecutive equal segments merge into one entry.  Segments with
     zero duration or zero w are dropped: they move nothing.
     """
     if schedule._compiled is None:
-        schedule._compiled = CompiledSchedule.build(schedule)
+        schedule._compiled = CompiledSchedule(_fuse_runs(schedule))
     return schedule._compiled
 
 
@@ -750,9 +750,7 @@ def flow_segments(X: np.ndarray, schedule: "ControlSchedule"):
     fused and no segment merged."""
     X, logdet = _start(X, schedule)
     ids = _live(schedule)
-    CompiledSchedule.of_entries(ids, schedule.a[ids], schedule.w[ids],
-                                schedule.b[ids], schedule.duration[ids],
-                                (np.arange(len(ids)),)).flow(X, logdet)
+    LoopRun.of_rows(schedule, ids, schedule.duration[ids]).apply(X, logdet)
     return np.ascontiguousarray(X), logdet
 
 
@@ -761,22 +759,17 @@ def invert_schedule(schedule: ControlSchedule) -> ControlSchedule:
 
     The reversed field -w * relu(a.x + b) is again a neuron field, and the
     composition with the original flow is the identity in exact arithmetic.
-    The result carries the inverse of the schedule's compiled form: its
-    steps reversed, each fused run inverted exactly (shear values negated;
-    profile knots and values swapped, log-dets negated) and the loop
-    entries reversed with their merged durations, so a round trip does not
-    pass through a recompilation of the reversed segments.
+    The result carries the inverse of the schedule's compiled form, its
+    steps reversed and each inverted exactly (shear values negated; profile
+    knots and values swapped, log-dets negated; loop entries reversed with
+    their merged durations), so a round trip does not pass through a
+    recompilation of the reversed segments.
     """
     inverse = ControlSchedule.from_arrays(schedule.a[::-1], -schedule.w[::-1],
                                           schedule.b[::-1],
                                           schedule.duration[::-1])
-    compiled = compile_schedule(schedule)
-    last, n = len(schedule) - 1, len(compiled.rows) - 1
-    steps = tuple(n - step[::-1] if isinstance(step, np.ndarray)
-                  else step.inverse() for step in reversed(compiled.steps))
-    inverse._compiled = CompiledSchedule.of_entries(
-        last - compiled.rows[::-1], compiled.a[::-1], -compiled.w[::-1],
-        compiled.b[::-1], compiled.duration[::-1], steps)
+    inverse._compiled = CompiledSchedule(tuple(
+        step.inverse() for step in reversed(compile_schedule(schedule).steps)))
     return inverse
 
 

@@ -13,8 +13,7 @@ import numpy as np
 
 from reluflow.compressible import profile_logdet, slope_profile
 from reluflow.kr import GridDensity, KRMap
-from reluflow.mesh import RectDomain
-from reluflow.numerics import solve_increasing
+from reluflow.numerics import RectDomain, solve_increasing
 from reluflow.schedule import PiecewiseLinear, json_key
 
 UNIT_SQUARE = RectDomain([0.0, 0.0], [1.0, 1.0])
@@ -162,6 +161,8 @@ def get_target(name: str, params: dict = None) -> TargetMap:
                                                   ("beta0", "number"))))
                 if isinstance(prof, dict) else prof or _DEFAULT_PROFILE)
         d = json_key({"d": 2, **params}, "d", "profile1d target", "integer")
+        if d < 1:
+            raise ValueError(f'profile1d target: "d" must be >= 1; got {d}')
         lower = [prof.knots[0]] + [0.0] * (d - 1)
         upper = [prof.knots[-1]] + [1.0] * (d - 1)
 
@@ -193,9 +194,9 @@ def get_target(name: str, params: dict = None) -> TargetMap:
 def density_from_spec(spec, shape=(65, 65)) -> GridDensity:
     """Resolve a density argument: catalog name, grid values, or GridDensity.
 
-    Catalog (normalized on the ``shape`` grid over [0,1]^d): uniform; on
-    [0,1]^2 tilted (1 + 0.4x + 0.2y), product ((1+x)(0.5+y)) and bump
-    (1 + 0.8 exp(-8|x-c|^2)); on [0,1] 2x (max(2x, 1e-9)).
+    Catalog (normalized on the ``shape`` grid over [0,1]^d): uniform and
+    bump (1 + 0.8 exp(-8|x-c|^2)); on [0,1]^2 only, tilted (1 + 0.4x + 0.2y)
+    and product ((1+x)(0.5+y)); on [0,1] only, 2x (max(2x, 1e-9)).
     """
     if isinstance(spec, GridDensity):
         return spec
@@ -214,6 +215,9 @@ def density_from_spec(spec, shape=(65, 65)) -> GridDensity:
                              f"{shape}")
         return GridDensity.from_function(
             lambda X: np.maximum(2 * X[:, 0], 1e-9), shape)
+    if spec in ("tilted", "product") and len(shape) != 2:
+        raise ValueError(f"density {spec!r} is two-dimensional; got shape "
+                         f"{shape}")
     if spec == "tilted":
         return GridDensity.from_function(
             lambda X: 1 + 0.4 * X[:, 0] + 0.2 * X[:, 1], shape)

@@ -537,11 +537,39 @@ class TestBadInputs:
         pytest.param("kr", {"shape": [9.5, 9]},
                      "density shape must hold integers; got [9.5, 9]",
                      id="kr-shape-float"),
+        *(pytest.param("realize", {"target": "profile1d",
+                                   "target_params": {"d": d}},
+                       f'profile1d target: "d" must be >= 1; got {d}',
+                       id=f"profile1d-d-{d}") for d in (0, -3)),
+        *(pytest.param(verb, {**config, "points": points},
+                       'config: "points" must be a list of equal-length '
+                       'lists of numbers', id=f"{verb}-points-{name}")
+          for verb, config in (("kr", {}),
+                               ("simulate", {"schedule": {"segments": []}}))
+          for name, points in (("string", [[0.3, "x"]]),
+                               ("ragged", [[0.1], [0.1, 0.2]]))),
+        *(pytest.param("kr", {"rho1": density, "shape": shape},
+                       f"density {density!r} is two-dimensional; got shape "
+                       f"{tuple(shape)}", id=f"kr-{density}-{len(shape)}d")
+          for density in ("tilted", "product") for shape in ([9], [5, 5, 5])),
     ])
     def test_refused_config_value(self, tmp_path, capsys, verb, config,
                                   problem):
         err = run_failing(tmp_path, capsys, verb, config)
         assert problem in err
+
+    @pytest.mark.parametrize("path", [True, 1, 5, []],
+                             ids=["true", "one", "five", "list"])
+    def test_refused_schedule_out(self, tmp_path, capsys, monkeypatch, path):
+        # refused before the target is realized: true and 1 would open
+        # file descriptor 1, write the schedule there and close it
+        def realize_target(*args, **kwargs):
+            raise AssertionError("the target was realized")
+
+        monkeypatch.setattr(cli, "realize_target", realize_target)
+        err = run_failing(tmp_path, capsys, "realize",
+                          {"target": "identity", "schedule_out": path})
+        assert 'config: "schedule_out" must be a string' in err
 
     def test_unknown_mixture_name(self, tmp_path, capsys):
         err = run_failing(tmp_path, capsys, "maurey", {"mixture": "custom"})

@@ -1,4 +1,5 @@
-"""The realize, evaluate, simulate and sampling paths run without SciPy."""
+"""The realize, evaluate, simulate and sampling paths run without SciPy,
+and without the polar route's modules."""
 
 import subprocess
 import sys
@@ -42,5 +43,21 @@ assert not loaded, loaded
 
 def test_user_paths_import_no_scipy():
     done = subprocess.run([sys.executable, "-c", SCRIPT],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
+def test_runtime_path_skips_the_polar_route():
+    # the polar route (mesh, factorization, cube swaps) is reached only
+    # from tests
+    script = f"""
+import sys
+sys.path.insert(0, {SRC!r})
+import reluflow.cli, reluflow.maurey, reluflow.pipeline, reluflow.targets
+polar = ("reluflow.mesh", "reluflow.factorize", "reluflow.incompressible")
+loaded = [name for name in polar if name in sys.modules]
+assert not loaded, loaded
+"""
+    done = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr

@@ -13,6 +13,7 @@ from reluflow.schedule import (
     MIN_FUSED_RUN,
     ControlSchedule,
     FlowOverflowError,
+    LoopRun,
     PiecewiseLinear,
     ProfileRun,
     ShearRun,
@@ -389,7 +390,7 @@ class TestCompiledSchedule:
     def test_short_runs_stay_on_the_loop(self, rng):
         segs = [_aligned(0, 1, 2, rng) for _ in range(MIN_FUSED_RUN - 1)]
         steps = compile_schedule(schedule_of(*segs)).steps
-        assert len(steps) == 1 and isinstance(steps[0], np.ndarray)
+        assert len(steps) == 1 and isinstance(steps[0], LoopRun)
         segs.append(_aligned(0, 1, 2, rng))
         steps = compile_schedule(schedule_of(*segs)).steps
         assert len(steps) == 1 and isinstance(steps[0], ShearRun)
@@ -444,7 +445,7 @@ class TestCompiledSchedule:
         seg = ([-60.0, 0.0], [1.0, 0.0], 0.0, 1.0)
         sched = schedule_of(*(seg,) * (2 * MIN_FUSED_RUN))
         steps = compile_schedule(sched).steps
-        assert len(steps) == 1 and isinstance(steps[0], np.ndarray)
+        assert len(steps) == 1 and isinstance(steps[0], LoopRun)
         X = rng.uniform(-1, 1, size=(64, 2))
         Y, ld = flow_points(X, sched)
         Y_ref, ld_ref = flow_segments(X, sched)
@@ -476,8 +477,8 @@ class TestCompiledSchedule:
 
 def loop_entries(sched) -> int:
     """The number of entries on the compiled schedule's per-segment loop."""
-    return sum(len(step) for step in compile_schedule(sched).steps
-               if isinstance(step, np.ndarray))
+    return sum(len(step.rows) for step in compile_schedule(sched).steps
+               if isinstance(step, LoopRun))
 
 
 class TestMergedLoop:
@@ -513,8 +514,7 @@ class TestMergedLoop:
         run = [_aligned(0, 1, 2, rng) for _ in range(MIN_FUSED_RUN)]
         sched = schedule_of(row, *run, row)
         steps = compile_schedule(sched).steps
-        assert [type(step) for step in steps] == [np.ndarray, ShearRun,
-                                                  np.ndarray]
+        assert [type(step) for step in steps] == [LoopRun, ShearRun, LoopRun]
         X = rng.uniform(-2, 2, size=(64, 2))
         Y, ld = flow_points(X, sched)
         Y_ref, ld_ref = flow_segments(X, sched)
@@ -549,7 +549,7 @@ class TestMergedLoop:
         # s = 1e-10 and s tau = 690, within the guard: scale = expm1(690) / s
         # overflows, and scale * w holds 0 * inf
         sched = schedule_of(([1e-5, 0.0], [1e-5, 0.0], 0.0, 6.9e12))
-        assert not np.all(np.isfinite(compile_schedule(sched).shift))
+        assert not np.all(np.isfinite(compile_schedule(sched).steps[0].shift))
         X = np.array([[-1.0, 0.5], [-3.0, -2.0], [0.0, 1.0]])
         for kernel in (flow_points, flow_segments):
             Y, ld = kernel(X, sched)
